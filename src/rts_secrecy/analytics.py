@@ -63,12 +63,18 @@ class MetricValue:
     note: str = ""
 
 
-def _flag_range(mv: MetricValue) -> MetricValue:
+def _flag_range(mv: MetricValue, slack: float = _RANGE_SLACK) -> MetricValue:
+    """Mark a value outside [0, 1] by more than `slack` (or non-finite) not ok.
+
+    Series values keep the fixed slack; an oracle value may also stray by
+    its own error estimate, which is how far quadrature can miss an exact
+    0 or 1.
+    """
     if not mv.ok:
         return mv
     if not math.isfinite(mv.value):
         return replace(mv, ok=False, note="non-finite value")
-    if mv.value < -_RANGE_SLACK or mv.value > 1.0 + _RANGE_SLACK:
+    if mv.value < -slack or mv.value > 1.0 + slack:
         return replace(mv, ok=False, note="raw value outside [0, 1]")
     return mv
 
@@ -183,7 +189,9 @@ def _nzr_oracle_cached(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
         err *= p.delta
     ok = err <= ORACLE_ERR_BUDGET
     note = "" if ok else f"quadrature error estimate {err:.2e} exceeds budget"
-    return _flag_range(MetricValue(Metric.NZR, mode, value, "quadrature", ok, note))
+    return _flag_range(
+        MetricValue(Metric.NZR, mode, value, "quadrature", ok, note), _RANGE_SLACK + err
+    )
 
 
 @lru_cache(maxsize=4096)
@@ -197,7 +205,9 @@ def _sop_oracle_cached(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
         err *= p.delta
     ok = err <= ORACLE_ERR_BUDGET
     note = "" if ok else f"quadrature error estimate {err:.2e} exceeds budget"
-    return _flag_range(MetricValue(Metric.SOP, mode, value, "quadrature", ok, note))
+    return _flag_range(
+        MetricValue(Metric.SOP, mode, value, "quadrature", ok, note), _RANGE_SLACK + err
+    )
 
 
 def nzr_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:

@@ -17,7 +17,7 @@ from typing import Sequence, TextIO
 
 from . import analytics
 from .params import KnowledgeMode, Metric, Scheme, SystemParams
-from .simulator import simulate_point
+from .simulator import simulate_grid, simulate_point
 
 CSV_HEADER = (
     "snr_db,k,delta,scheme,mode,metric,analytic,asymptote,"
@@ -59,6 +59,10 @@ _POINT_OVERRIDES = {
     "delta": "0.9",
     "snr-db": "10",
 }
+
+
+# the seed is the Philox key: two 64-bit words
+_SEED_LIMIT = 2**128
 
 
 class UsageError(Exception):
@@ -205,6 +209,8 @@ def _typed(settings: dict[str, str]) -> dict:
     trials, seed = trials_list[0], seed_list[0]
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
+    if not 0 <= seed < _SEED_LIMIT:
+        raise UsageError(f"seed must be in [0, 2**128), got {seed}")
     return {
         "ks": _parse_int_list(settings["k"], "k"),
         "deltas": _parse_float_list(settings["delta"], "delta"),
@@ -244,65 +250,70 @@ def _params(cfg: dict, k: int, delta: float, snr_db: float) -> SystemParams:
         raise UsageError(str(exc)) from None
 
 
-def _sim_cached(cache: dict, p: SystemParams, scheme: Scheme, mode: KnowledgeMode, cfg: dict):
-    key = (p, scheme, mode)
-    if key not in cache:
-        cache[key] = simulate_point(p, scheme, mode, cfg["trials"], cfg["seed"])
-    return cache[key]
-
-
-def _grid_rows(cfg: dict, check: bool, cache: dict | None = None) -> tuple[list[list[str]], int]:
-    """Sweep/compare row engine; returns (rows, failed check count)."""
-    rows: list[list[str]] = []
-    failures = 0
-    if cache is None:
-        cache = {}
+def _grid(cfg: dict):
+    """(k, delta, snr_db, params) over the grid, in output row order."""
     for k in cfg["ks"]:
         for delta in cfg["deltas"]:
             for snr_db in cfg["snrs"]:
-                p = _params(cfg, k, delta, snr_db)
-                for scheme in cfg["schemes"]:
-                    for mode in cfg["modes"]:
-                        estimates = _sim_cached(cache, p, scheme, mode, cfg)
-                        for metric in cfg["metrics"]:
-                            est = estimates[metric]
-                            analytic = ""
-                            asymptote = ""
-                            flags = []
-                            if scheme is Scheme.RTS:
-                                orc = analytics.oracle(p, metric, mode)
-                                analytic = repr(orc.value)
-                                asymptote = repr(
-                                    analytics.asymptote(metric, mode, k, delta).value
-                                )
-                                flags.append("analytic=quadrature")
-                                if not orc.ok:
-                                    flags.append("analytic_unconverged")
-                                if check:
-                                    gap = abs(est.value - orc.value)
-                                    passed = gap <= 5.0 * est.std_err + 1e-12
-                                    flags.append(
-                                        "check=pass" if passed else "check=fail"
-                                    )
-                                    if not passed:
-                                        failures += 1
-                            rows.append(
-                                [
-                                    repr(float(snr_db)),
-                                    str(k),
-                                    repr(float(delta)),
-                                    scheme.value,
-                                    mode.value,
-                                    metric.value,
-                                    analytic,
-                                    asymptote,
-                                    repr(est.value),
-                                    repr(est.std_err),
-                                    str(est.trials),
-                                    str(est.seed),
-                                    ";".join(flags),
-                                ]
-                            )
+                yield k, delta, snr_db, _params(cfg, k, delta, snr_db)
+
+
+def _simulate(cfg: dict, schemes: Sequence[Scheme], modes: Sequence[KnowledgeMode]) -> dict:
+    """Estimates keyed by (params, scheme, mode); one stream pass per k."""
+    by_k: dict[int, dict] = {}
+    for k, _, _, p in _grid(cfg):
+        points = by_k.setdefault(k, {})
+        for scheme in schemes:
+            for mode in modes:
+                points[(p, scheme, mode)] = None
+    estimates = {}
+    for points in by_k.values():
+        estimates.update(zip(points, simulate_grid(list(points), cfg["trials"], cfg["seed"])))
+    return estimates
+
+
+def _grid_rows(cfg: dict, check: bool, estimates: dict) -> tuple[list[list[str]], int]:
+    """Sweep/compare rows; returns (rows, failed check count)."""
+    rows: list[list[str]] = []
+    failures = 0
+    for k, delta, snr_db, p in _grid(cfg):
+        for scheme in cfg["schemes"]:
+            for mode in cfg["modes"]:
+                for metric in cfg["metrics"]:
+                    est = estimates[(p, scheme, mode)][metric]
+                    analytic = ""
+                    asymptote = ""
+                    flags = []
+                    if scheme is Scheme.RTS:
+                        orc = analytics.oracle(p, metric, mode)
+                        analytic = repr(orc.value)
+                        asymptote = repr(analytics.asymptote(metric, mode, k, delta).value)
+                        flags.append("analytic=quadrature")
+                        if not orc.ok:
+                            flags.append("analytic_unconverged")
+                        if check:
+                            gap = abs(est.value - orc.value)
+                            passed = gap <= 5.0 * est.std_err + 1e-12
+                            flags.append("check=pass" if passed else "check=fail")
+                            if not passed:
+                                failures += 1
+                    rows.append(
+                        [
+                            repr(float(snr_db)),
+                            str(k),
+                            repr(float(delta)),
+                            scheme.value,
+                            mode.value,
+                            metric.value,
+                            analytic,
+                            asymptote,
+                            repr(est.value),
+                            repr(est.std_err),
+                            str(est.trials),
+                            str(est.seed),
+                            ";".join(flags),
+                        ]
+                    )
     return rows, failures
 
 
@@ -315,7 +326,8 @@ def _write_csv(stream: TextIO, command: str, settings: dict[str, str], rows: lis
 
 def cmd_sweep(settings: dict[str, str], check: bool, stream: TextIO) -> int:
     cfg = _typed(settings)
-    rows, failures = _grid_rows(cfg, check)
+    estimates = _simulate(cfg, cfg["schemes"], cfg["modes"])
+    rows, failures = _grid_rows(cfg, check, estimates)
     _write_csv(stream, "sweep", settings, rows)
     if failures:
         stream.write(f"# check failures = {failures}\n")
@@ -326,33 +338,29 @@ def cmd_compare(settings: dict[str, str], check: bool, stream: TextIO) -> int:
     cfg = _typed(settings)
     if len(cfg["ks"]) != 1 or len(cfg["deltas"]) != 1:
         raise UsageError("compare takes a single k and delta value")
-    cache: dict = {}
-    rows, failures = _grid_rows(cfg, check, cache)
+    if check and Scheme.RTS not in cfg["schemes"]:
+        raise UsageError("compare --check needs the rts scheme in --scheme")
+    estimates = _simulate(cfg, cfg["schemes"], cfg["modes"])
+    rows, failures = _grid_rows(cfg, check, estimates)
     _write_csv(stream, "compare", settings, rows)
     if check:
-        failures += _compare_order_failures(cfg, stream, cache)
+        failures += _compare_order_failures(cfg, stream, estimates)
     if failures:
         stream.write(f"# check failures = {failures}\n")
     return 2 if failures else 0
 
 
-def _compare_order_failures(cfg: dict, stream: TextIO, cache: dict) -> int:
+def _compare_order_failures(cfg: dict, stream: TextIO, estimates: dict) -> int:
     """Scheme ordering assertions at 3 combined standard errors.
 
     The instantaneous-best scheme must do at least as well as ratio
     selection, and ratio selection at least as well as the single-channel
     schemes, at every grid point for every metric and mode in the run.
     """
-    if Scheme.RTS not in cfg["schemes"]:
-        raise UsageError("compare --check needs the rts scheme in --scheme")
     failures = 0
-    for snr_db in cfg["snrs"]:
-        p = _params(cfg, cfg["ks"][0], cfg["deltas"][0], snr_db)
+    for _, _, snr_db, p in _grid(cfg):
         for mode in cfg["modes"]:
-            by_scheme = {
-                scheme: _sim_cached(cache, p, scheme, mode, cfg)
-                for scheme in cfg["schemes"]
-            }
+            by_scheme = {scheme: estimates[(p, scheme, mode)] for scheme in cfg["schemes"]}
             for metric in cfg["metrics"]:
                 ref = by_scheme[Scheme.RTS][metric]
                 sign = 1.0 if metric is Metric.SOP else -1.0
@@ -376,21 +384,14 @@ def _compare_order_failures(cfg: dict, stream: TextIO, cache: dict) -> int:
 
 def cmd_validate(settings: dict[str, str], check: bool, stream: TextIO) -> int:
     cfg = _typed(settings)
+    estimates = _simulate(cfg, [Scheme.RTS], cfg["modes"])
     rows = []
-    for k in cfg["ks"]:
-        for delta in cfg["deltas"]:
-            for snr_db in cfg["snrs"]:
-                p = _params(cfg, k, delta, snr_db)
-                point_rows = analytics.validate_point(p, snr_db)
-                sims = {
-                    mode: simulate_point(p, Scheme.RTS, mode, cfg["trials"], cfg["seed"])
-                    for mode in (KnowledgeMode.AVAILABLE, KnowledgeMode.UNAVAILABLE)
-                }
-                for row in point_rows:
-                    if row.metric not in cfg["metrics"] or row.mode not in cfg["modes"]:
-                        continue
-                    est = sims[row.mode][row.metric]
-                    rows.append(replace(row, simulated=est.value, std_err=est.std_err))
+    for _, _, snr_db, p in _grid(cfg):
+        for row in analytics.validate_point(p, snr_db):
+            if row.metric not in cfg["metrics"] or row.mode not in cfg["modes"]:
+                continue
+            est = estimates[(p, Scheme.RTS, row.mode)][row.metric]
+            rows.append(replace(row, simulated=est.value, std_err=est.std_err))
     _echo_settings(stream, "validate", settings)
     analytics.write_validation_report(rows, stream)
     undocumented = sum(1 for row in rows if not row.documented)

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .params import KnowledgeMode, Metric, Scheme, SystemParams, secrecy_rate
 
-DEFAULT_BLOCK = 1 << 16
+DEFAULT_BLOCK = 1 << 14
 _WORDS_PER_COUNTER_STEP = 4
 
 
@@ -119,10 +120,55 @@ def select(
     return SelectionOutcome(best, True, rate)
 
 
+def _check_run(trials: int, block: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+
+
+def _choose(
+    p: SystemParams,
+    scheme: Scheme,
+    mode: KnowledgeMode,
+    g_d: np.ndarray,
+    g_e: np.ndarray,
+    active: np.ndarray,
+) -> np.ndarray:
+    """Selected transmitter per trial; argmax ties resolve to the lowest index.
+
+    With gate knowledge, dead transmitters score -inf; when every gate is
+    down the pick is index 0, which is dead and so never counts as live.
+    """
+    if scheme is Scheme.RTS:
+        with np.errstate(divide="ignore"):
+            score = np.where(g_e > 0.0, g_d / np.where(g_e > 0.0, g_e, 1.0), np.inf)
+    elif scheme is Scheme.TTS:
+        score = g_d
+    elif scheme is Scheme.MIN_ES:
+        score = -g_e
+    else:
+        score = np.maximum(
+            np.log2((1.0 + g_d / p.sigma_d) / (1.0 + g_e / p.sigma_e)), 0.0
+        )
+    if mode is KnowledgeMode.AVAILABLE:
+        score = np.where(active, score, -np.inf)
+    return np.argmax(score, axis=1)
+
+
+def _selected_link(
+    p: SystemParams, g_d: np.ndarray, g_e: np.ndarray, active: np.ndarray, sel: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(unclamped secrecy rate, gate is up) of the selected link per trial."""
+    pick = sel + p.k * np.arange(sel.shape[0])  # flat index of [trial, sel]
+    raw = np.log2((1.0 + g_d.take(pick) / p.sigma_d) / (1.0 + g_e.take(pick) / p.sigma_e))
+    return raw, active.take(pick)
+
+
 def _block_outcomes(
     p: SystemParams, scheme: Scheme, mode: KnowledgeMode, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized selection over a block of uniform rows.
+    """Per-trial outcomes of one point over a block of uniform rows.
 
     Returns (rates, transmitted, outage).  Mirrors `select` exactly: same
     gain mapping, same scores, and argmax ties resolving to the lowest
@@ -135,29 +181,11 @@ def _block_outcomes(
     g_d = -np.log1p(-u[:, :k]) / p.lambda_d
     g_e = -np.log1p(-u[:, k : 2 * k]) / p.lambda_e
     active = u[:, 2 * k : 3 * k] < p.delta
-
-    if scheme is Scheme.RTS:
-        with np.errstate(divide="ignore"):
-            score = np.where(g_e > 0.0, g_d / np.where(g_e > 0.0, g_e, 1.0), np.inf)
-    elif scheme is Scheme.TTS:
-        score = g_d
-    elif scheme is Scheme.MIN_ES:
-        score = -g_e
-    else:
-        score = np.maximum(
-            np.log2((1.0 + g_d / p.sigma_d) / (1.0 + g_e / p.sigma_e)), 0.0
-        )
-
     if mode is KnowledgeMode.AVAILABLE:
         transmitted = active.any(axis=1)
-        sel = np.argmax(np.where(active, score, -np.inf), axis=1)
     else:
         transmitted = np.ones(u.shape[0], dtype=bool)
-        sel = np.argmax(score, axis=1)
-
-    rows = np.arange(u.shape[0])
-    raw = np.log2((1.0 + g_d[rows, sel] / p.sigma_d) / (1.0 + g_e[rows, sel] / p.sigma_e))
-    live = transmitted & active[rows, sel]
+    raw, live = _selected_link(p, g_d, g_e, active, _choose(p, scheme, mode, g_d, g_e, active))
     rate = np.where(live, np.maximum(raw, 0.0), 0.0)
     outage = np.where(live, raw < p.r_th, True)
     return rate, transmitted, outage
@@ -171,22 +199,17 @@ def _all_outcomes(
     seed: int,
     block: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
+    _check_run(trials, block)
     rates = np.empty(trials)
     transmitted = np.empty(trials, dtype=bool)
     outage = np.empty(trials, dtype=bool)
-    start = 0
-    while start < trials:
+    for start in range(0, trials, block):
         count = min(block, trials - start)
         u = uniform_block(seed, p.k, start, count)
         r, t, o = _block_outcomes(p, scheme, mode, u)
         rates[start : start + count] = r
         transmitted[start : start + count] = t
         outage[start : start + count] = o
-        start += count
     return rates, transmitted, outage
 
 
@@ -215,6 +238,91 @@ def outage_indicators(
     return _all_outcomes(p, scheme, mode, trials, seed, block)[2]
 
 
+def _selection_key(p: SystemParams, scheme: Scheme, mode: KnowledgeMode) -> tuple:
+    """Everything the selection of `scheme` reads, as exact float values.
+
+    Points with equal keys pick the same transmitter in every trial.  Only
+    bit-identical scores are shared: rounding E_d / lambda_d can turn a
+    strict order into a tie and move the lowest-index argmax, so rules that
+    read g_d never share across lambda_d even though they are scale-free.
+    """
+    reads = {
+        Scheme.RTS: (p.lambda_d, p.lambda_e),
+        Scheme.TTS: (p.lambda_d,),
+        Scheme.MIN_ES: (p.lambda_e,),
+        Scheme.OPTIMAL: (p.lambda_d, p.lambda_e, p.sigma_d, p.sigma_e),
+    }[scheme]
+    gate = p.delta if mode is KnowledgeMode.AVAILABLE else None
+    return scheme, mode, reads, gate
+
+
+def _estimates(nzr_hits: int, sop_hits: int, trials: int, seed: int) -> dict[Metric, MetricEstimate]:
+    out = {}
+    for metric, hits in ((Metric.NZR, nzr_hits), (Metric.SOP, sop_hits)):
+        value = hits / trials
+        std_err = math.sqrt(value * (1.0 - value) / trials)
+        out[metric] = MetricEstimate(metric, value, std_err, trials, seed)
+    return out
+
+
+def simulate_grid(
+    points: Sequence[tuple[SystemParams, Scheme, KnowledgeMode]],
+    trials: int,
+    seed: int,
+    block: int = DEFAULT_BLOCK,
+) -> list[dict[Metric, MetricEstimate]]:
+    """Both metric estimates for every (params, scheme, mode) point, in order.
+
+    All points must share k, so they read one stream (seed, k), which is
+    walked once.  Per block the uniforms are generated once, mapped to
+    unit-mean exponential gains once per side and to a gate mask once per
+    distinct delta; each point adds only its 1/lambda scaling, its
+    selection and its hit counts, and points with equal `_selection_key`
+    share one selection.  Memory is O(block) whatever `trials` and the
+    number of points, and every estimate equals `simulate_point` on that
+    point alone, at any block size.
+    """
+    _check_run(trials, block)
+    ks = {p.k for p, _, _ in points}
+    if len(ks) != 1:
+        raise ValueError(f"points must share one k, got {sorted(ks)}")
+    (k,) = ks
+    # grouped by lambda_d so that one scaled g_d is alive at a time
+    order = sorted(range(len(points)), key=lambda i: points[i][0].lambda_d)
+    keys = [_selection_key(*point) for point in points]
+    last_use = {keys[i]: i for i in order}
+    nzr_hits = [0] * len(points)
+    sop_hits = [0] * len(points)
+    for start in range(0, trials, block):
+        count = min(block, trials - start)
+        u = uniform_block(seed, k, start, count)
+        e_d = -np.log1p(-u[:, :k])
+        e_e = -np.log1p(-u[:, k : 2 * k])
+        gates: dict[float, np.ndarray] = {}
+        scaled_e: dict[float, np.ndarray] = {}
+        chosen: dict[tuple, np.ndarray] = {}
+        lambda_d = None
+        for i in order:
+            p, scheme, mode = points[i]
+            if p.lambda_d != lambda_d:
+                lambda_d, g_d = p.lambda_d, e_d / p.lambda_d
+            if p.lambda_e not in scaled_e:
+                scaled_e[p.lambda_e] = e_e / p.lambda_e
+            if p.delta not in gates:
+                gates[p.delta] = u[:, 2 * k : 3 * k] < p.delta
+            g_e, active = scaled_e[p.lambda_e], gates[p.delta]
+            key = keys[i]
+            if key not in chosen:
+                chosen[key] = _choose(p, scheme, mode, g_d, g_e, active)
+            sel = chosen.pop(key) if last_use[key] == i else chosen[key]
+            raw, live = _selected_link(p, g_d, g_e, active, sel)
+            nzr_hits[i] += int(np.count_nonzero(live & (raw > 0.0)))
+            sop_hits[i] += int(np.count_nonzero(~live | (raw < p.r_th)))
+    return [
+        _estimates(nzr, sop, trials, seed) for nzr, sop in zip(nzr_hits, sop_hits)
+    ]
+
+
 def simulate_point(
     p: SystemParams,
     scheme: Scheme,
@@ -223,16 +331,8 @@ def simulate_point(
     seed: int,
     block: int = DEFAULT_BLOCK,
 ) -> dict[Metric, MetricEstimate]:
-    """Both metric estimates from a single pass over the trial stream."""
-    rates, _, outage = _all_outcomes(p, scheme, mode, trials, seed, block)
-    nzr_hits = int(np.count_nonzero(rates > 0.0))
-    outage_hits = int(np.count_nonzero(outage))
-    out = {}
-    for metric, hits in ((Metric.NZR, nzr_hits), (Metric.SOP, outage_hits)):
-        value = hits / trials
-        std_err = math.sqrt(value * (1.0 - value) / trials)
-        out[metric] = MetricEstimate(metric, value, std_err, trials, seed)
-    return out
+    """Both metric estimates for one point; a one-point `simulate_grid`."""
+    return simulate_grid([(p, scheme, mode)], trials, seed, block)[0]
 
 
 def estimate_metric(

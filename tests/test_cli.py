@@ -106,6 +106,22 @@ def test_zero_trials_is_usage_error(capsys):
     assert "trials" in captured.err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_seed_outside_philox_key_range_is_usage_error(capsys, seed):
+    code, captured = run(["point", f"--seed={seed}", "--trials", "10"], capsys)
+    assert code == 1
+    assert "seed" in captured.err
+
+
+def test_largest_seed_is_accepted(capsys):
+    code, _ = run(
+        ["sweep", "--k", "1", "--snr-db", "10", "--mode", "available",
+         "--metric", "nzr", "--trials", "10", f"--seed={2**128 - 1}"],
+        capsys,
+    )
+    assert code == 0
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, captured = run(["frobnicate"], capsys)
     assert code == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rts_secrecy.simulator import (
     outage_indicators,
     sample_realization,
     select,
+    simulate_grid,
     simulate_point,
     trial_outcomes,
     trial_stride,
@@ -70,6 +72,70 @@ def test_estimates_reproducible_across_calls():
     a = simulate_point(p, Scheme.TTS, UNAVAIL, 10_000, seed=11)
     b = simulate_point(p, Scheme.TTS, UNAVAIL, 10_000, seed=11)
     assert a == b
+
+
+# --- grid engine -------------------------------------------------------------
+
+
+def mixed_grid(k=3):
+    """Every scheme and mode over extreme SNRs, deltas, r_th and lambda_e."""
+    settings = [
+        dict(delta=0.0, snr_db=15.0),
+        dict(delta=0.6, snr_db=-30.0),
+        dict(delta=0.6, snr_db=15.0),
+        dict(delta=0.6, snr_db=15.0, r_th=0.0),
+        dict(delta=0.6, snr_db=15.0, lambda_e_db=3.0),
+        dict(delta=0.6, snr_db=80.0),
+        dict(delta=1.0, snr_db=15.0),
+    ]
+    return [
+        (params(k=k, **kw), scheme, mode)
+        for kw in settings
+        for scheme in Scheme
+        for mode in KnowledgeMode
+    ]
+
+
+@pytest.mark.parametrize("block, trials", [(1, 300), (1000, 2500), (1 << 14, 2500), (1 << 16, 2500)])
+def test_grid_engine_equals_point_by_point(block, trials):
+    points = mixed_grid()
+    expected = [simulate_point(p, s, m, trials, seed=19) for p, s, m in points]
+    assert simulate_grid(points, trials, seed=19, block=block) == expected
+
+
+def test_grid_engine_counts_match_per_trial_arrays():
+    trials = 3000
+    points = mixed_grid(k=2)
+    for (p, scheme, mode), est in zip(points, simulate_grid(points, trials, seed=5, block=700)):
+        rates, _ = trial_outcomes(p, scheme, mode, trials, seed=5)
+        outage = outage_indicators(p, scheme, mode, trials, seed=5)
+        assert est[Metric.NZR].value == np.count_nonzero(rates > 0.0) / trials
+        assert est[Metric.SOP].value == np.count_nonzero(outage) / trials
+
+
+def test_grid_engine_memory_is_flat_in_trials():
+    points = [
+        (params(k=3, snr_db=snr), scheme, mode)
+        for snr in (0.0, 30.0)
+        for scheme in (Scheme.RTS, Scheme.MIN_ES)
+        for mode in KnowledgeMode
+    ]
+    peaks = []
+    for trials in (100_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            simulate_grid(points, trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_grid_engine_needs_one_k():
+    with pytest.raises(ValueError):
+        simulate_grid([(params(k=2), Scheme.RTS, AVAIL), (params(k=3), Scheme.RTS, AVAIL)], 10, seed=1)
+    with pytest.raises(ValueError):
+        simulate_grid([], 10, seed=1)
 
 
 # --- scalar selection --------------------------------------------------------
