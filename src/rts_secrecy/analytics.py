@@ -3,10 +3,11 @@
 Three independent sources are provided per metric and knowledge mode:
 
 * series closed forms (fast finite sums; see the caveats below),
-* a deterministic adaptive-quadrature oracle of the defining probability,
+* an oracle of the defining probability: exact for NZR, deterministic
+  adaptive quadrature for SOP,
 * high-SNR asymptotes (floors set by the backhaul gates alone).
 
-The quadrature oracle is the ground truth this package trusts.  The series
+The oracle is the ground truth this package trusts.  The series
 forms reproduce a published derivation path term by term; cross-validation
 shows several of them disagree with the defining integrals outside narrow
 parameter ranges (see DOCUMENTED_SERIES_DEVIATIONS), so their outputs are
@@ -20,11 +21,10 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from scipy import integrate
 
-from .distributions import single_ratio_cdf
 from .params import KnowledgeMode, Metric, SystemParams
 from .specfun import (
     binomial,
@@ -39,6 +39,8 @@ _INNER_EPSABS = 1e-12
 _INNER_EPSREL = 1e-10
 _OUTER_EPSABS = 1e-11
 _OUTER_EPSREL = 1e-10
+_QUAD_LIMIT = 200
+_U_CUT = 50.0
 _RANGE_SLACK = 1e-12
 
 VERDICT_MATCH = "MATCH"
@@ -52,7 +54,8 @@ class MetricValue:
 
     `ok` is False when the value is non-finite, falls outside [0, 1], or
     the evaluator could not meet its error budget; `note` says why.  The
-    raw value is preserved either way.
+    raw value is preserved either way.  `abserr` is the evaluator's error
+    estimate: 0.0 for exact values and for series, which carry none.
     """
 
     metric: Metric
@@ -61,19 +64,20 @@ class MetricValue:
     source: str
     ok: bool = True
     note: str = ""
+    abserr: float = 0.0
 
 
-def _flag_range(mv: MetricValue, slack: float = _RANGE_SLACK) -> MetricValue:
-    """Mark a value outside [0, 1] by more than `slack` (or non-finite) not ok.
+def _flag_range(mv: MetricValue) -> MetricValue:
+    """Mark a value outside [0, 1] (or non-finite) not ok.
 
-    Series values keep the fixed slack; an oracle value may also stray by
-    its own error estimate, which is how far quadrature can miss an exact
-    0 or 1.
+    The slack is a fixed rounding allowance plus the value's own error
+    estimate, which is how far quadrature can miss an exact 0 or 1.
     """
     if not mv.ok:
         return mv
     if not math.isfinite(mv.value):
         return replace(mv, ok=False, note="non-finite value")
+    slack = _RANGE_SLACK + mv.abserr
     if mv.value < -slack or mv.value > 1.0 + slack:
         return replace(mv, ok=False, note="raw value outside [0, 1]")
     return mv
@@ -103,121 +107,107 @@ def asymptote(metric: Metric, mode: KnowledgeMode, k: int, delta: float) -> Metr
 
 
 # ---------------------------------------------------------------------------
-# quadrature oracle
+# oracle: exact NZR, one region integral for SOP
 # ---------------------------------------------------------------------------
 
-def _region_integral(p: SystemParams, m: int, x_bound: Callable[[float], float]) -> tuple[float, float]:
-    """q-free core of both oracles.
+def _region_integral(p: SystemParams, gate_p: float) -> tuple[float, float, str]:
+    """Integral of f_D(x) f_E(y) (1 - g + g F1(x/y))^(k-1) over the outage region.
 
-    Integral over (x, y) of f_D(x) f_E(y) F1(x/y)^m on {x < x_bound(y)},
-    where F1 is the single-pair ratio CDF and m counts competitor pairs.
-    The outer variable is transformed by y = -ln(t)/lambda_e so both loops
-    of the nested adaptive quadrature run on finite intervals.  Returns
-    (value, error estimate).
+    x and y are the selected pair's destination and eavesdropper gains, F1
+    the single-pair ratio CDF and g = gate_p the chance a competitor is
+    live.  The power is the probability that none of the k-1 competitors
+    beats the ratio x/y, already summed over how many of them are live, so
+    one 2-D integral serves any k.
+
+    The inner loop runs over u = lambda_d x and stops at u = _U_CUT: the
+    integrand is at most exp(-u), so the dropped tail is below e^-50, while
+    at low SNR the uncut interval can be thousands of units long and the
+    quadrature nodes can miss f_D's peak of width 1 next to u = 0.  The
+    outer loop runs over t = exp(-lambda_e y) in (0, 1).
+    Below y_0 = lambda_d x_b(0)/lambda_e, with x_b the outage bound, every
+    ratio in the region beats the competitors, so at high SNR the outer
+    integrand has a thin layer next to t = 1 that the quadrature can step
+    over unseen; breakpoints at y_0 2^j, j = -3..5, resolve it.
+
+    Returns (value, error estimate, quadpack's message when the outer loop
+    did not converge, else "").  The estimate adds the largest inner error
+    to the outer one: the t interval has length 1, so inner errors move
+    the outer integral by at most that much.
     """
-    lam_d, lam_e = p.lambda_d, p.lambda_e
+    lam_d, lam_e, m = p.lambda_d, p.lambda_e, p.k - 1
+    dead_e = (1.0 - gate_p) * lam_e
+    inner_err = 0.0
+
+    def integrand(u: float, y: float) -> float:
+        # f_D dx times 1 - g + g F1(x/y), written without cancellation
+        return math.exp(-u) * ((u + dead_e * y) / (u + lam_e * y)) ** m
 
     def inner(y: float) -> float:
-        hi = x_bound(y)
-        if hi <= 0.0:
-            return 0.0
-        val, _ = integrate.quad(
-            lambda x: lam_d * math.exp(-lam_d * x) * single_ratio_cdf(x / y, lam_d, lam_e) ** m,
-            0.0,
-            hi,
-            epsabs=_INNER_EPSABS,
-            epsrel=_INNER_EPSREL,
-            limit=200,
+        nonlocal inner_err
+        val, err = integrate.quad(
+            integrand, 0.0, min(lam_d * p.outage_gain_bound(y), _U_CUT), args=(y,),
+            epsabs=_INNER_EPSABS, epsrel=_INNER_EPSREL, limit=_QUAD_LIMIT,
         )
+        inner_err = max(inner_err, err)
         return val
 
+    layer = lam_d * p.outage_gain_bound(0.0)  # lambda_e y_0
+    edges = {math.exp(-layer * 2.0**j) for j in range(-3, 6)}
+    points = sorted(t for t in edges if 0.0 < t < 1.0)
     out = integrate.quad(
-        lambda t: inner(-math.log(t) / lam_e),
-        0.0,
-        1.0,
-        epsabs=_OUTER_EPSABS,
-        epsrel=_OUTER_EPSREL,
-        limit=200,
-        full_output=1,
+        lambda t: inner(-math.log(t) / lam_e), 0.0, 1.0,
+        epsabs=_OUTER_EPSABS, epsrel=_OUTER_EPSREL, limit=_QUAD_LIMIT,
+        points=points or None, full_output=1,
     )
-    value, abserr = out[0], out[1]
-    return value, abserr + _INNER_EPSABS
-
-
-def _zero_rate_bound(p: SystemParams) -> Callable[[float], float]:
-    c = p.ratio_threshold
-    return lambda y: c * y
-
-
-def _outage_bound(p: SystemParams) -> Callable[[float], float]:
-    return p.outage_gain_bound
-
-
-def _selected_event_probability(
-    p: SystemParams, mode: KnowledgeMode, x_bound: Callable[[float], float]
-) -> tuple[float, float]:
-    """P[the ratio-selected link lands in the region] plus error estimate.
-
-    Decomposes over the number q of live gates.  With gate knowledge q is
-    Binomial(k, delta) and the all-dead atom counts as being in the region
-    (no transmission); without it the competitor count is fixed at k-1 and
-    the dead-selected-gate case is handled by the caller.
-    """
-    k, delta = p.k, p.delta
-    if mode is KnowledgeMode.UNAVAILABLE:
-        val, err = _region_integral(p, k - 1, x_bound)
-        return k * val, k * err
-    total = (1.0 - delta) ** k
-    err_total = 0.0
-    for q in range(1, k + 1):
-        weight = binomial(k, q) * delta**q * (1.0 - delta) ** (k - q)
-        if weight == 0.0:
-            continue
-        val, err = _region_integral(p, q - 1, x_bound)
-        total += weight * q * val
-        err_total += weight * q * err
-    return total, err_total
-
-
-@lru_cache(maxsize=4096)
-def _nzr_oracle_cached(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
-    p_zero, err = _selected_event_probability(p, mode, _zero_rate_bound(p))
-    if mode is KnowledgeMode.AVAILABLE:
-        value = 1.0 - p_zero
-    else:
-        value = p.delta * (1.0 - p_zero)
-        err *= p.delta
-    ok = err <= ORACLE_ERR_BUDGET
-    note = "" if ok else f"quadrature error estimate {err:.2e} exceeds budget"
-    return _flag_range(
-        MetricValue(Metric.NZR, mode, value, "quadrature", ok, note), _RANGE_SLACK + err
-    )
-
-
-@lru_cache(maxsize=4096)
-def _sop_oracle_cached(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
-    p_region, err = _selected_event_probability(p, mode, _outage_bound(p))
-    if mode is KnowledgeMode.AVAILABLE:
-        value = p_region
-    else:
-        # dead selected gate forces a zero rate, which is an outage
-        value = (1.0 - p.delta) + p.delta * p_region
-        err *= p.delta
-    ok = err <= ORACLE_ERR_BUDGET
-    note = "" if ok else f"quadrature error estimate {err:.2e} exceeds budget"
-    return _flag_range(
-        MetricValue(Metric.SOP, mode, value, "quadrature", ok, note), _RANGE_SLACK + err
-    )
+    message = " ".join(out[3].split()) if len(out) > 3 else ""
+    return out[0], out[1] + inner_err, message
 
 
 def nzr_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
-    """Non-zero-rate probability by nested deterministic quadrature."""
-    return _nzr_oracle_cached(p, mode)
+    """Non-zero-rate probability, exact.
+
+    The rate is zero exactly when the selected ratio g_d/g_e is at most
+    c = sigma_d/sigma_e, and t = lambda_e/(lambda_d c + lambda_e) is the
+    chance one live pair's ratio exceeds c.  With gate knowledge the
+    largest live ratio must exceed c: 1 - (1 - delta t)^k.  Without it the
+    largest of all k ratios must, and its gate must be up:
+    delta (1 - (1 - t)^k).  expm1/log1p keep the digits of small values.
+    """
+    c = p.ratio_threshold
+    t = p.lambda_e / (p.lambda_d * c + p.lambda_e)
+    gate_p, weight = (p.delta, 1.0) if mode is KnowledgeMode.AVAILABLE else (1.0, p.delta)
+    live_t = gate_p * t
+    value = weight * (1.0 if live_t >= 1.0 else -math.expm1(p.k * math.log1p(-live_t)))
+    return MetricValue(Metric.NZR, mode, value, "exact")
 
 
+@lru_cache(maxsize=4096)
 def sop_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
-    """Outage probability by nested deterministic quadrature."""
-    return _sop_oracle_cached(p, mode)
+    """Outage probability by one nested-quadrature region integral.
+
+    Transmitter j is selected and in outage with density f_D f_E times the
+    chance no competitor beats it.  With gate knowledge j must be live and
+    the all-dead atom (1 - delta)^k counts as outage; without it every
+    competitor takes part and a dead selected gate, probability 1 - delta,
+    forces a zero rate.  Either way the k symmetric choices of j add
+    k delta times the region integral.
+    """
+    k, delta = p.k, p.delta
+    if mode is KnowledgeMode.AVAILABLE:
+        atom, gate_p = (1.0 - delta) ** k, delta
+    else:
+        atom, gate_p = 1.0 - delta, 1.0
+    region, err, message = _region_integral(p, gate_p)
+    err *= k * delta
+    if message:
+        ok, note = False, f"quadrature did not converge: {message}"
+    elif err > ORACLE_ERR_BUDGET:
+        ok, note = False, f"quadrature error estimate {err:.2e} exceeds budget"
+    else:
+        ok, note = True, ""
+    return _flag_range(
+        MetricValue(Metric.SOP, mode, atom + k * delta * region, "quadrature", ok, note, err)
+    )
 
 
 def oracle(p: SystemParams, metric: Metric, mode: KnowledgeMode) -> MetricValue:

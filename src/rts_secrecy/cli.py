@@ -179,7 +179,7 @@ def build_parser() -> _Parser:
     for name, help_text in (
         ("sweep", "metric estimates over a parameter grid"),
         ("compare", "selection schemes side by side at one point"),
-        ("validate", "series closed forms against the quadrature oracle"),
+        ("validate", "series closed forms against the oracle"),
         ("point", "all analytic and simulated values at one point"),
     ):
         _add_common_flags(sub.add_parser(name, help=help_text))
@@ -288,7 +288,7 @@ def _grid_rows(cfg: dict, check: bool, estimates: dict) -> tuple[list[list[str]]
                         orc = analytics.oracle(p, metric, mode)
                         analytic = repr(orc.value)
                         asymptote = repr(analytics.asymptote(metric, mode, k, delta).value)
-                        flags.append("analytic=quadrature")
+                        flags.append(f"analytic={orc.source}")
                         if not orc.ok:
                             flags.append("analytic_unconverged")
                         if check:
@@ -425,7 +425,7 @@ def cmd_point(settings: dict[str, str], check: bool, stream: TextIO) -> int:
                 asym = analytics.asymptote(metric, mode, k, delta)
                 series_note = f"  [{series.note}]" if not series.ok else ""
                 stream.write(f"  series     = {series.value!r}{series_note}\n")
-                stream.write(f"  quadrature = {orc.value!r}\n")
+                stream.write(f"  {orc.source:<10} = {orc.value!r}\n")
                 stream.write(f"  asymptote  = {asym.value!r}\n")
                 if check:
                     gap = abs(est.value - orc.value)

@@ -1,4 +1,4 @@
-"""Channel-gain laws and the distribution of the selected gain ratio.
+"""The gain-ratio laws: one destination/eavesdropper pair and the largest of k.
 
 A backhaul gate that is down contributes a point mass at zero; that atom
 is carried explicitly (weight + continuous part) rather than as a numeric
@@ -10,68 +10,6 @@ import math
 from dataclasses import dataclass
 
 from .specfun import binomial
-
-
-@dataclass(frozen=True)
-class ExponentialGain:
-    """Exponential channel power gain with rate `rate` (mean 1/rate)."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise ValueError(f"rate must be positive and finite, got {self.rate}")
-
-    def pdf(self, x: float) -> float:
-        if x < 0.0:
-            return 0.0
-        return self.rate * math.exp(-self.rate * x)
-
-    def cdf(self, x: float) -> float:
-        if x < 0.0:
-            return 0.0
-        return -math.expm1(-self.rate * x)
-
-    def sample(self, u: float) -> float:
-        """Inverse-CDF map of a uniform u in [0, 1): -ln(1-u)/rate."""
-        if not 0.0 <= u < 1.0:
-            raise ValueError(f"uniform draw must lie in [0, 1), got {u}")
-        return -math.log1p(-u) / self.rate
-
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.rate
-
-
-@dataclass(frozen=True)
-class GatedGain:
-    """Exponential gain behind an on/off gate: atom (1-p_on) at zero plus
-    p_on times the exponential law."""
-
-    rate: float
-    p_on: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise ValueError(f"rate must be positive and finite, got {self.rate}")
-        if not 0.0 <= self.p_on <= 1.0:
-            raise ValueError(f"p_on must lie in [0, 1], got {self.p_on}")
-
-    @property
-    def atom(self) -> float:
-        """Probability mass sitting exactly at zero."""
-        return 1.0 - self.p_on
-
-    def continuous_pdf(self, x: float) -> float:
-        """Density of the absolutely continuous part (excludes the atom)."""
-        if x < 0.0:
-            return 0.0
-        return self.p_on * self.rate * math.exp(-self.rate * x)
-
-    def cdf(self, x: float) -> float:
-        if x < 0.0:
-            return 0.0
-        return self.atom + self.p_on * -math.expm1(-self.rate * x)
 
 
 def single_ratio_cdf(x: float, lam_d: float, lam_e: float) -> float:

@@ -2,7 +2,9 @@ import io
 import math
 
 import pytest
+import quadrature_reference as reference
 
+from rts_secrecy import analytics
 from rts_secrecy.analytics import (
     DOCUMENTED_SERIES_DEVIATIONS,
     MATCH_TOL,
@@ -70,6 +72,116 @@ def test_oracle_range_check_allows_its_own_error_estimate():
     r = sop_oracle(p, UNAVAIL)
     assert r.value > 1.0
     assert r.ok, r.note
+
+
+# --- oracle routes: exact NZR, one region integral per SOP cell --------------
+
+
+@pytest.fixture
+def fresh_sop_cache():
+    sop_oracle.cache_clear()
+    yield
+    sop_oracle.cache_clear()
+
+
+def test_nzr_exact_matches_nested_quadrature_on_validate_grid():
+    for k in (1, 2, 3, 4, 5):
+        for delta in (0.2, 0.5, 0.9):
+            for snr in (10.0, 30.0, 50.0):
+                p = SystemParams.from_db(k=k, delta=delta, snr_db=snr)
+                for mode in KnowledgeMode:
+                    exact = nzr_oracle(p, mode)
+                    assert (exact.source, exact.abserr) == ("exact", 0.0)
+                    assert exact.value == pytest.approx(reference.nzr(p, mode)[0], abs=1e-10)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 16])
+@pytest.mark.parametrize("snr", [-30.0, 20.0, 80.0])
+def test_collapsed_sop_matches_binomial_q_loop(k, snr):
+    p = SystemParams.from_db(k=k, delta=0.9, snr_db=snr)
+    collapsed = sop_oracle(p, AVAIL)
+    value, err = reference.sop(p, AVAIL)
+    assert collapsed.ok, collapsed.note
+    assert abs(collapsed.value - value) <= collapsed.abserr + err
+
+
+@pytest.mark.parametrize("mode", list(KnowledgeMode))
+@pytest.mark.parametrize("delta", [0.0, 1.0])
+@pytest.mark.parametrize("snr", [-30.0, 80.0])
+def test_nzr_matches_mpmath_at_extremes(mode, delta, snr):
+    mp = pytest.importorskip("mpmath")
+    p = SystemParams.from_db(k=64, delta=delta, snr_db=snr, r_th=0.0)
+    with mp.workdps(30):
+        lam_d_c = mp.mpf(p.lambda_d) * mp.mpf(p.sigma_d) / mp.mpf(p.sigma_e)
+        f1 = lam_d_c / (lam_d_c + mp.mpf(p.lambda_e))
+        d = mp.mpf(p.delta)
+        if mode is AVAIL:
+            expected = float(1 - (1 - d + d * f1) ** p.k)
+        else:
+            expected = float(d * (1 - f1**p.k))
+    assert abs(nzr_oracle(p, mode).value - expected) <= 1e-13 * abs(expected)
+
+
+def test_nzr_when_every_ratio_clears_the_threshold():
+    # at 200 dB the chance that one ratio exceeds c rounds to exactly 1
+    p = SystemParams.from_db(k=3, delta=1.0, snr_db=200.0)
+    for mode in KnowledgeMode:
+        assert nzr_oracle(p, mode).value == 1.0
+
+
+# 30-digit mpmath tanh-sinh quadrature of the same region integrals
+SOP_REFEREES = [
+    # a default `validate` cell, where the per-q integrals erred 12x their estimate
+    (dict(k=3, delta=0.9, snr_db=50.0), 0.001000769596172592456),
+    # a thin layer near t = 1 that the outer quadrature can step over unseen
+    (dict(k=16, delta=1.0, snr_db=40.0, r_th=3.0), 4.435327719692854322e-07),
+]
+
+
+@pytest.mark.parametrize("kwargs,expected", SOP_REFEREES)
+def test_sop_matches_mpmath_referee_within_its_error_estimate(kwargs, expected):
+    r = sop_oracle(SystemParams.from_db(**kwargs), AVAIL)
+    assert r.ok, r.note
+    assert abs(r.value - expected) <= min(r.abserr, 1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 16])
+@pytest.mark.parametrize("mode", list(KnowledgeMode))
+def test_sop_certain_outage_at_low_snr_and_high_threshold(k, mode):
+    # at -30 dB a destination gain above the outage bound has probability
+    # below e^-8000, so the outage is certain; the inner interval in
+    # lambda_d x is 8800 long, enough to hide f_D's peak between nodes
+    r = sop_oracle(SystemParams.from_db(k=k, delta=0.9, snr_db=-30.0, r_th=3.0), mode)
+    assert r.ok, r.note
+    assert abs(r.value - 1.0) <= r.abserr
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_unconverged_quadrature_is_not_ok(monkeypatch, fresh_sop_cache):
+    monkeypatch.setattr(analytics, "_QUAD_LIMIT", 10)
+    r = sop_oracle(SystemParams.from_db(k=3, delta=0.9, snr_db=20.0), AVAIL)
+    assert not r.ok
+    assert "maximum number of subdivisions (10)" in r.note
+
+
+@pytest.mark.parametrize("k", [1, 16, 64])
+def test_each_sop_cell_integrates_one_region(monkeypatch, fresh_sop_cache, k):
+    calls = []
+    real = analytics._region_integral
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analytics, "_region_integral", counting)
+    p = SystemParams.from_db(k=k, delta=0.9, snr_db=20.0)
+    for mode in KnowledgeMode:
+        calls.clear()
+        sop_oracle(p, mode)
+        assert len(calls) == 1
+        calls.clear()
+        nzr_oracle(p, mode)
+        assert calls == []
 
 
 # --- series closed forms: exact cells ---------------------------------------

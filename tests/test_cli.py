@@ -37,7 +37,9 @@ def test_sweep_row_count_and_schema(tmp_path):
         assert r["analytic"] != ""
         assert r["asymptote"] != ""
         assert r["trials"] == "2000"
-        assert "analytic=quadrature" in r["flags"]
+        # provenance names the route: NZR is exact, SOP is quadrature
+        source = "exact" if r["metric"] == "nzr" else "quadrature"
+        assert f"analytic={source}" in r["flags"].split(";")
 
 
 def test_sweep_grid_order_is_nested(tmp_path):

@@ -4,61 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from rts_secrecy.distributions import (
-    ExponentialGain,
-    GatedGain,
-    MaxRatioLaw,
-    single_ratio_cdf,
-)
+from rts_secrecy.distributions import MaxRatioLaw, single_ratio_cdf
 
 LAM_D = 0.35
 LAM_E = 1.4
-
-
-def test_exponential_gain_basic():
-    g = ExponentialGain(rate=2.0)
-    assert g.mean == 0.5
-    assert g.cdf(0.0) == 0.0
-    assert g.pdf(-1.0) == 0.0
-    assert g.cdf(-1.0) == 0.0
-    assert g.cdf(1.0) == pytest.approx(1.0 - math.exp(-2.0))
-    assert g.pdf(1.0) == pytest.approx(2.0 * math.exp(-2.0))
-
-
-def test_exponential_sample_median():
-    g = ExponentialGain(rate=2.0)
-    assert g.sample(0.5) == pytest.approx(math.log(2.0) / 2.0)
-    assert g.sample(0.0) == 0.0
-    with pytest.raises(ValueError):
-        g.sample(1.0)
-    with pytest.raises(ValueError):
-        g.sample(-0.1)
-
-
-def test_exponential_sample_mean_converges():
-    g = ExponentialGain(rate=0.25)
-    u = np.random.default_rng(42).random(10_000)
-    draws = np.array([g.sample(x) for x in u])
-    # moment check at 5 standard errors of the sample mean
-    se = g.mean / math.sqrt(draws.size)
-    assert abs(draws.mean() - g.mean) < 5 * se
-
-
-def test_gated_gain_mixture():
-    g = GatedGain(rate=1.0, p_on=0.7)
-    assert g.atom == pytest.approx(0.3)
-    assert g.cdf(0.0) == pytest.approx(0.3)
-    assert g.cdf(math.inf) == pytest.approx(1.0)
-    # atom plus the continuous mass integrates to one
-    mass, _ = integrate.quad(g.continuous_pdf, 0.0, math.inf)
-    assert g.atom + mass == pytest.approx(1.0, abs=1e-10)
-
-
-def test_gated_gain_degenerate_gates():
-    assert GatedGain(rate=1.0, p_on=0.0).cdf(5.0) == 1.0
-    always = GatedGain(rate=1.0, p_on=1.0)
-    assert always.atom == 0.0
-    assert always.cdf(1.0) == pytest.approx(ExponentialGain(1.0).cdf(1.0))
 
 
 def test_single_ratio_cdf_closed_form():
@@ -156,10 +105,6 @@ def test_gated_max_ratio_law_matches_empirical():
 
 
 def test_domain_validation():
-    with pytest.raises(ValueError):
-        ExponentialGain(rate=0.0)
-    with pytest.raises(ValueError):
-        GatedGain(rate=1.0, p_on=1.5)
     with pytest.raises(ValueError):
         MaxRatioLaw(k_links=-1, lam_d=1.0, lam_e=1.0)
     with pytest.raises(ValueError):

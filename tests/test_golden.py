@@ -1,9 +1,11 @@
 """Whole-output byte equality for three small commands at seed 1.
 
-The files in golden/ were written by the per-point simulator that preceded
-the streaming grid engine; any change to how the stream is consumed, how
-estimates are formatted or how the grid is ordered shows up here as a
-byte difference.
+The simulated fields in golden/ were written by the per-point simulator
+that preceded the streaming grid engine; any change to how the stream is
+consumed, how estimates are formatted or how the grid is ordered shows up
+here as a byte difference.  The oracle fields (`analytic`, `oracle`,
+`abs_diff` and the provenance flag) were rewritten when NZR became exact
+and SOP one region integral; no other field changed then.
 """
 from pathlib import Path
 
