@@ -536,10 +536,14 @@ def validate_point(p: SystemParams, snr_db: float, tol: float = MATCH_TOL) -> li
             orc = oracle(p, metric, mode)
             verdict = classify(series, orc, tol)
             reason = documented_series_deviation(metric, mode, p.k)
-            documented = verdict == VERDICT_MATCH or reason is not None
-            note = series.note if not series.ok else ""
+            # a verdict against an oracle that failed is not documented
+            documented = orc.ok and (verdict == VERDICT_MATCH or reason is not None)
+            notes = [series.note] if not series.ok else []
             if verdict != VERDICT_MATCH and reason is not None:
-                note = (note + "; " if note else "") + reason
+                notes.append(reason)
+            if not orc.ok:
+                notes.append(f"oracle: {orc.note}")
+            note = "; ".join(filter(None, notes))
             diff = (
                 abs(series.value - orc.value)
                 if math.isfinite(series.value)

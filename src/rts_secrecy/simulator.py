@@ -23,6 +23,7 @@ from .params import KnowledgeMode, Metric, Scheme, SystemParams, secrecy_rate
 
 DEFAULT_BLOCK = 1 << 14
 _WORDS_PER_COUNTER_STEP = 4
+_PIECE_WORDS = 1 << 15  # values per piece when a block's gains are transposed
 
 
 def trial_stride(k: int) -> int:
@@ -76,6 +77,18 @@ class MetricEstimate:
     trials: int
     seed: int
 
+    def wilson_interval(self, z: float) -> tuple[float, float]:
+        """Wilson score interval at z standard errors (Wilson 1927).
+
+        `std_err` is the Wald error sqrt(value (1 - value) / trials), which
+        is 0 at proportions of 0 and 1; this interval is not.
+        """
+        n, phat = self.trials, self.value
+        w = z * z / n
+        center = (phat + w / 2.0) / (1.0 + w)
+        half = z * math.sqrt(phat * (1.0 - phat) / n + w / (4.0 * n)) / (1.0 + w)
+        return center - half, center + half
+
 
 def realization_from_uniforms(p: SystemParams, row: np.ndarray) -> ChannelRealization:
     """Map one trial's uniform row to gains and gates (inverse-CDF)."""
@@ -127,22 +140,83 @@ def _check_run(trials: int, block: int) -> None:
         raise ValueError(f"block must be >= 1, got {block}")
 
 
+def _unit_gains(u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-mean exponential gains (e_d, e_e) of a block, each (k, trials).
+
+    log1p runs on (trials, k) row slices, as in `realization_from_uniforms`
+    row by row; only its results are laid out transmitter-major.  The rows
+    go in pieces of about _PIECE_WORDS values, each transposed while it is
+    still in cache: at k = 64 one whole-block transpose costs more than
+    the log1p.
+    """
+    trials = u.shape[0]
+    e_d, e_e = np.empty((k, trials)), np.empty((k, trials))
+    step = max(1, _PIECE_WORDS // k)
+    for start in range(0, trials, step):
+        rows = u[start : start + step]
+        e_d[:, start : start + step] = -np.log1p(-rows[:, :k]).T
+        e_e[:, start : start + step] = -np.log1p(-rows[:, k : 2 * k]).T
+    return e_d, e_e
+
+
+def _gates(u: np.ndarray, k: int, delta: float) -> np.ndarray:
+    """Gate-up mask of a block, (k, trials)."""
+    return np.ascontiguousarray((u[:, 2 * k : 3 * k] < delta).T)
+
+
+def _penalty(active: np.ndarray) -> np.ndarray:
+    """0 where a gate is up and -inf where it is down; added to scores."""
+    return np.where(active, 0.0, -np.inf)
+
+
+def _zeros(g_e: np.ndarray) -> np.ndarray | None:
+    """Mask of g_e == 0 (where rts scores +inf), or None when there is none."""
+    zero = g_e == 0.0
+    return zero if zero.any() else None
+
+
+def _first_argmax(score: np.ndarray, penalty: np.ndarray | None = None) -> np.ndarray:
+    """Per trial (column) of a (k, trials) score, the lowest row index of its maximum.
+
+    `penalty` (see `_penalty`) makes dead gates score -inf first.  Equal to
+    np.argmax(scores, axis=1) on the (trials, k) gated scores, ties, +-inf
+    and all-dead columns (pick 0) included, for NaN-free scores.  Instead of
+    one short argmax per trial it runs contiguous passes over the k rows: a
+    max-reduce, an equality test, and a max-reduce of the equal rows weighted
+    k, k-1, ..., 1 that finds the first of them.
+    """
+    k = score.shape[0]
+    if penalty is not None:
+        with np.errstate(invalid="ignore"):
+            score = score + penalty
+    top = score.max(axis=0)
+    if penalty is not None and np.isnan(top).any():  # +inf met a dead gate: inf - inf
+        score[np.isnan(score)] = -np.inf
+        top = score.max(axis=0)
+    first = (score == top).view(np.uint8)
+    first *= np.arange(k, 0, -1, dtype=np.uint8)[:, None]
+    return k - first.max(axis=0).astype(np.intp)
+
+
 def _choose(
     p: SystemParams,
     scheme: Scheme,
-    mode: KnowledgeMode,
     g_d: np.ndarray,
     g_e: np.ndarray,
-    active: np.ndarray,
+    zero: np.ndarray | None,
+    penalty: np.ndarray | None,
 ) -> np.ndarray:
-    """Selected transmitter per trial; argmax ties resolve to the lowest index.
+    """Selected transmitter per trial from (k, trials) gains; ties go to the lowest index.
 
-    With gate knowledge, dead transmitters score -inf; when every gate is
-    down the pick is index 0, which is dead and so never counts as live.
+    `zero` is `_zeros(g_e)`.  `penalty` is None without gate knowledge; with
+    it dead transmitters score -inf, and when every gate is down the pick is
+    index 0, which is dead and so never counts as live.
     """
     if scheme is Scheme.RTS:
-        with np.errstate(divide="ignore"):
-            score = np.where(g_e > 0.0, g_d / np.where(g_e > 0.0, g_e, 1.0), np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = g_d / g_e
+        if zero is not None:
+            score[zero] = np.inf  # as in `_score`, 0/0 included
     elif scheme is Scheme.TTS:
         score = g_d
     elif scheme is Scheme.MIN_ES:
@@ -151,16 +225,18 @@ def _choose(
         score = np.maximum(
             np.log2((1.0 + g_d / p.sigma_d) / (1.0 + g_e / p.sigma_e)), 0.0
         )
-    if mode is KnowledgeMode.AVAILABLE:
-        score = np.where(active, score, -np.inf)
-    return np.argmax(score, axis=1)
+    return _first_argmax(score, penalty)
 
 
 def _selected_link(
     p: SystemParams, g_d: np.ndarray, g_e: np.ndarray, active: np.ndarray, sel: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(unclamped secrecy rate, gate is up) of the selected link per trial."""
-    pick = sel + p.k * np.arange(sel.shape[0])  # flat index of [trial, sel]
+    """(unclamped secrecy rate, gate is up) of the selected link per trial.
+
+    The arrays are (k, trials), as everywhere in the selection kernel.
+    """
+    trials = sel.shape[0]
+    pick = sel * trials + np.arange(trials)  # flat index of [sel, trial]
     raw = np.log2((1.0 + g_d.take(pick) / p.sigma_d) / (1.0 + g_e.take(pick) / p.sigma_e))
     return raw, active.take(pick)
 
@@ -178,14 +254,17 @@ def _block_outcomes(
     count as outages.
     """
     k = p.k
-    g_d = -np.log1p(-u[:, :k]) / p.lambda_d
-    g_e = -np.log1p(-u[:, k : 2 * k]) / p.lambda_e
-    active = u[:, 2 * k : 3 * k] < p.delta
+    e_d, e_e = _unit_gains(u, k)
+    g_d, g_e = e_d / p.lambda_d, e_e / p.lambda_e
+    active = _gates(u, k, p.delta)
     if mode is KnowledgeMode.AVAILABLE:
-        transmitted = active.any(axis=1)
+        transmitted = active.any(axis=0)
+        penalty = _penalty(active)
     else:
         transmitted = np.ones(u.shape[0], dtype=bool)
-    raw, live = _selected_link(p, g_d, g_e, active, _choose(p, scheme, mode, g_d, g_e, active))
+        penalty = None
+    sel = _choose(p, scheme, g_d, g_e, _zeros(g_e), penalty)
+    raw, live = _selected_link(p, g_d, g_e, active, sel)
     rate = np.where(live, np.maximum(raw, 0.0), 0.0)
     outage = np.where(live, raw < p.r_th, True)
     return rate, transmitted, outage
@@ -275,10 +354,10 @@ def simulate_grid(
 
     All points must share k, so they read one stream (seed, k), which is
     walked once.  Per block the uniforms are generated once, mapped to
-    unit-mean exponential gains once per side and to a gate mask once per
-    distinct delta; each point adds only its 1/lambda scaling, its
-    selection and its hit counts, and points with equal `_selection_key`
-    share one selection.  Memory is O(block) whatever `trials` and the
+    unit-mean exponential gains once per side and to a gate mask and score
+    penalty once per distinct delta, all in (k, block) layout; each point
+    adds only its 1/lambda scaling, its selection and its hit counts, and
+    points with equal `_selection_key` share one selection.  Memory is O(block) whatever `trials` and the
     number of points, and every estimate equals `simulate_point` on that
     point alone, at any block size.
     """
@@ -296,10 +375,9 @@ def simulate_grid(
     for start in range(0, trials, block):
         count = min(block, trials - start)
         u = uniform_block(seed, k, start, count)
-        e_d = -np.log1p(-u[:, :k])
-        e_e = -np.log1p(-u[:, k : 2 * k])
-        gates: dict[float, np.ndarray] = {}
-        scaled_e: dict[float, np.ndarray] = {}
+        e_d, e_e = _unit_gains(u, k)
+        gates: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        scaled_e: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
         chosen: dict[tuple, np.ndarray] = {}
         lambda_d = None
         for i in order:
@@ -307,13 +385,17 @@ def simulate_grid(
             if p.lambda_d != lambda_d:
                 lambda_d, g_d = p.lambda_d, e_d / p.lambda_d
             if p.lambda_e not in scaled_e:
-                scaled_e[p.lambda_e] = e_e / p.lambda_e
+                g_e = e_e / p.lambda_e
+                scaled_e[p.lambda_e] = g_e, _zeros(g_e)
             if p.delta not in gates:
-                gates[p.delta] = u[:, 2 * k : 3 * k] < p.delta
-            g_e, active = scaled_e[p.lambda_e], gates[p.delta]
+                active = _gates(u, k, p.delta)
+                gates[p.delta] = active, _penalty(active)
+            (g_e, zero), (active, penalty) = scaled_e[p.lambda_e], gates[p.delta]
             key = keys[i]
             if key not in chosen:
-                chosen[key] = _choose(p, scheme, mode, g_d, g_e, active)
+                if mode is KnowledgeMode.UNAVAILABLE:
+                    penalty = None
+                chosen[key] = _choose(p, scheme, g_d, g_e, zero, penalty)
             sel = chosen.pop(key) if last_use[key] == i else chosen[key]
             raw, live = _selected_link(p, g_d, g_e, active, sel)
             nzr_hits[i] += int(np.count_nonzero(live & (raw > 0.0)))

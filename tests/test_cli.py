@@ -1,8 +1,12 @@
 import csv
+from dataclasses import replace
 
 import pytest
 
+from rts_secrecy import analytics, cli
 from rts_secrecy.cli import CSV_HEADER, main, read_config
+from rts_secrecy.params import KnowledgeMode, Scheme, SystemParams
+from rts_secrecy.simulator import simulate_point
 
 
 def run(argv, capsys=None):
@@ -201,6 +205,32 @@ def test_validate_report_and_exit(tmp_path):
         assert r["simulated"] != ""
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_validate_check_fails_on_an_unconverged_oracle(tmp_path, monkeypatch):
+    monkeypatch.setattr(analytics, "_QUAD_LIMIT", 10)
+    analytics.sop_oracle.cache_clear()
+    try:
+        out = tmp_path / "validate.csv"
+        code = main([
+            "validate", "--k", "3", "--delta", "0.9", "--snr-db", "20",
+            "--trials", "1000", "--out", str(out), "--check",
+        ])
+    finally:
+        analytics.sop_oracle.cache_clear()
+    assert code == 2
+    text = out.read_text()
+    assert "undocumented=2" in text
+    assert "# check failures = 2" in text
+    for r in read_rows(out):
+        if r["metric"] == "sop":
+            assert r["documented"] == "NO"
+            assert "oracle: " in r["note"]
+            assert "maximum number of subdivisions (10)" in r["note"]
+        else:
+            assert r["documented"] == "yes"
+            assert "oracle" not in r["note"]
+
+
 def test_validate_match_cells_land_where_adjudicated(tmp_path):
     out = tmp_path / "validate.csv"
     main([
@@ -283,6 +313,63 @@ def test_point_prints_all_sources(capsys):
     assert "quadrature" in captured.out
     assert "asymptote" in captured.out
     assert "simulated" in captured.out
+
+
+def test_point_check_passes_at_a_proportion_of_one(capsys):
+    # simulated 1.0 +- 0.0 against an exact 0.99999951: a zero-width Wald
+    # interval would fail this correct estimate
+    code, captured = run(
+        ["point", "--k", "3", "--delta", "1.0", "--snr-db", "20", "--mode", "available",
+         "--metric", "nzr", "--check", "--trials", "100000"],
+        capsys,
+    )
+    assert "simulated = 1.0 +- 0.0" in captured.out
+    assert "check      = pass" in captured.out
+    assert code == 0
+
+
+def test_point_check_fails_far_from_the_oracle(capsys, monkeypatch):
+    real = analytics.oracle
+
+    def shifted(p, metric, mode):
+        value = real(p, metric, mode)
+        return replace(value, value=value.value + 0.05)
+
+    monkeypatch.setattr(analytics, "oracle", shifted)
+    code, captured = run(
+        ["point", "--k", "2", "--snr-db", "10", "--metric", "sop", "--mode", "available",
+         "--check", "--trials", "20000"],
+        capsys,
+    )
+    assert "check      = fail" in captured.out
+    assert code == 2
+
+
+def test_point_makes_one_engine_call(capsys, monkeypatch):
+    calls = []
+    real = cli.simulate_grid
+
+    def counting(points, *args, **kwargs):
+        calls.append(list(points))
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_grid", counting)
+    code, captured = run(
+        ["point", "--k", "3", "--delta", "0.6", "--snr-db", "15", "--trials", "3000",
+         "--scheme", "rts,tts,optimal", "--mode", "available,unavailable"],
+        capsys,
+    )
+    assert code == 0
+    assert len(calls) == 1 and len(calls[0]) == 6
+    p = SystemParams.from_db(k=3, delta=0.6, snr_db=15.0)
+    for scheme in (Scheme.RTS, Scheme.TTS, Scheme.OPTIMAL):
+        for mode in KnowledgeMode:
+            for metric, est in simulate_point(p, scheme, mode, 3000, seed=1).items():
+                line = (
+                    f"{scheme.value} {mode.value} {metric.value}: "
+                    f"simulated = {est.value!r} +- {est.std_err!r}\n"
+                )
+                assert line in captured.out
 
 
 def test_point_rejects_grid(capsys):

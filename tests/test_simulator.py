@@ -3,13 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rts_secrecy import simulator
 from rts_secrecy.analytics import nzr_oracle, sop_oracle
 from rts_secrecy.params import KnowledgeMode, Metric, Scheme, SystemParams
 from rts_secrecy.simulator import (
     ChannelRealization,
+    MetricEstimate,
     estimate_metric,
     outage_indicators,
+    realization_from_uniforms,
     sample_realization,
     select,
     simulate_grid,
@@ -136,6 +141,69 @@ def test_grid_engine_needs_one_k():
         simulate_grid([(params(k=2), Scheme.RTS, AVAIL), (params(k=3), Scheme.RTS, AVAIL)], 10, seed=1)
     with pytest.raises(ValueError):
         simulate_grid([], 10, seed=1)
+
+
+# --- vectorised selection kernel ---------------------------------------------
+
+# scores drawn from a few values, so exact ties (+0.0 against -0.0 too) are common
+_SCORE_VALUES = st.lists(
+    st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.25, 7.0, np.inf])
+    | st.floats(allow_nan=False, width=64),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 5, 16, 64]),
+    trials=st.sampled_from([1, 1 << 14]),
+    values=_SCORE_VALUES,
+    dead=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_first_argmax_equals_row_argmax(k, trials, values, dead, seed):
+    rng = np.random.default_rng(seed)
+    score = rng.choice(np.array(values), size=(trials, k))
+    active = rng.random((trials, k)) >= dead
+    score_t = np.ascontiguousarray(score.T)
+    active_t = np.ascontiguousarray(active.T)
+    assert np.array_equal(simulator._first_argmax(score_t), np.argmax(score, axis=1))
+    gated = simulator._first_argmax(score_t, simulator._penalty(active_t))
+    assert np.array_equal(gated, np.argmax(np.where(active, score, -np.inf), axis=1))
+    assert np.array_equal(score_t, score.T)  # the kernel leaves its input alone
+
+
+def _tied_rows():
+    """Uniform rows in which transmitters 1 and 2 tie exactly under some rule.
+
+    Gains: (u_d, u_e) per transmitter; gate uniforms below delta = 0.5 are up.
+    """
+    gains = [
+        ([0.5, 0.9, 0.9], [0.5, 0.1, 0.7]),   # tts tie, different rates
+        ([0.5, 0.2, 0.8], [0.5, 0.01, 0.01]),  # min-es tie, different rates
+        ([0.9, 0.2, 0.7], [0.3, 0.0, 0.0]),   # rts tie at +inf (g_e = 0)
+        ([0.0, 0.0, 0.5], [0.0, 0.0, 0.5]),   # rts 0/0 scores +inf, as in `select`
+        ([0.1, 0.9, 0.9], [0.5, 0.2, 0.2]),   # identical links: every rule ties
+    ]
+    gates = [[0.1, 0.1, 0.1], [0.1, 0.9, 0.1], [0.9, 0.9, 0.1], [0.9, 0.9, 0.9]]
+    return np.array([u_d + u_e + g for u_d, u_e in gains for g in gates])
+
+
+def test_engine_matches_select_on_exact_ties(monkeypatch):
+    u = _tied_rows()
+    trials = u.shape[0]
+    p = params(k=3, delta=0.5, snr_db=10.0)
+    monkeypatch.setattr(simulator, "uniform_block", lambda seed, k, start, count: u[start : start + count])
+    for scheme in Scheme:
+        for mode in KnowledgeMode:
+            rates, transmitted = trial_outcomes(p, scheme, mode, trials, seed=1, block=trials)
+            outs = [select(p, scheme, mode, realization_from_uniforms(p, row)) for row in u]
+            assert rates == pytest.approx([out.rate for out in outs], abs=1e-12)
+            assert transmitted.tolist() == [out.transmitted for out in outs]
+            est = simulate_grid([(p, scheme, mode)], trials, seed=1, block=trials)[0]
+            assert est[Metric.NZR].value == sum(out.rate > 0.0 for out in outs) / trials
+            assert est[Metric.SOP].value == sum(out.rate < p.r_th for out in outs) / trials
 
 
 # --- scalar selection --------------------------------------------------------
@@ -277,6 +345,18 @@ def test_std_err_is_binomial():
     est = simulate_point(p, Scheme.RTS, AVAIL, 10_000, seed=5)[Metric.SOP]
     v = est.value
     assert est.std_err == pytest.approx(math.sqrt(v * (1 - v) / 10_000))
+
+
+def test_wilson_interval_is_wide_at_zero_and_one():
+    z, n = 5.0, 100_000
+    for value, lo, hi in ((0.0, 0.0, z * z / (n + z * z)), (1.0, n / (n + z * z), 1.0)):
+        est = MetricEstimate(Metric.SOP, value, 0.0, n, seed=1)
+        assert est.wilson_interval(z) == pytest.approx((lo, hi), abs=1e-15)
+    # away from 0 and 1 it is close to value +- z std_err
+    est = simulate_point(params(), Scheme.RTS, AVAIL, 10_000, seed=5)[Metric.SOP]
+    lo, hi = est.wilson_interval(z)
+    assert lo < est.value < hi
+    assert (hi - lo) / 2.0 == pytest.approx(z * est.std_err, rel=0.05)
 
 
 def test_estimates_match_oracle_small_grid():
