@@ -3,8 +3,8 @@
 Three independent sources are provided per metric and knowledge mode:
 
 * series closed forms (fast finite sums; see the caveats below),
-* an oracle of the defining probability: exact for NZR, deterministic
-  adaptive quadrature for SOP,
+* an oracle of the defining probability: exact for NZR, a closed form
+  plus one 1-D adaptive quadrature for SOP,
 * high-SNR asymptotes (floors set by the backhaul gates alone).
 
 The oracle is the ground truth this package trusts.  The series
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 from scipy import integrate
 
@@ -35,12 +35,10 @@ from .specfun import (
 
 MATCH_TOL = 1e-6
 ORACLE_ERR_BUDGET = 1e-8
-_INNER_EPSABS = 1e-12
-_INNER_EPSREL = 1e-10
-_OUTER_EPSABS = 1e-11
-_OUTER_EPSREL = 1e-10
+_EPSABS = 1e-13
+_EPSREL = 1e-10
 _QUAD_LIMIT = 200
-_U_CUT = 50.0
+_Z_CUT = 50.0
 _RANGE_SLACK = 1e-12
 
 VERDICT_MATCH = "MATCH"
@@ -107,60 +105,62 @@ def asymptote(metric: Metric, mode: KnowledgeMode, k: int, delta: float) -> Metr
 
 
 # ---------------------------------------------------------------------------
-# oracle: exact NZR, one region integral for SOP
+# oracle: exact NZR, one 1-D region integral for SOP
 # ---------------------------------------------------------------------------
 
-def _region_integral(p: SystemParams, gate_p: float) -> tuple[float, float, str]:
-    """Integral of f_D(x) f_E(y) (1 - g + g F1(x/y))^(k-1) over the outage region.
+def _region_integral(p: SystemParams, gate_p: float) -> tuple[float, float, float, str]:
+    """Region integral R = int_0^1 (1 - g + g w)^(k-1) P(w) dw, split at w1.
 
     x and y are the selected pair's destination and eavesdropper gains, F1
     the single-pair ratio CDF and g = gate_p the chance a competitor is
-    live.  The power is the probability that none of the k-1 competitors
-    beats the ratio x/y, already summed over how many of them are live, so
-    one 2-D integral serves any k.
+    live; (1 - g + g F1(x/y))^(k-1) is the chance none of the k-1
+    competitors beats the ratio x/y.  With s = x/y and w = F1(s) =
+    lambda_d s/(lambda_d s + lambda_e), the y-integral of f_D f_E over the
+    outage region x < alpha + beta y is closed form: P(w) = 1 up to
+    w_beta = F1(beta) and P(w) = 1 - e^-z (1 + z), z = c/(w - w_beta),
+    above it, where alpha = sigma_d (rho - 1), beta = rho sigma_d/sigma_e
+    and c = lambda_d lambda_e alpha/(lambda_e + lambda_d beta).
 
-    The inner loop runs over u = lambda_d x and stops at u = _U_CUT: the
-    integrand is at most exp(-u), so the dropped tail is below e^-50, while
-    at low SNR the uncut interval can be thousands of units long and the
-    quadrature nodes can miss f_D's peak of width 1 next to u = 0.  The
-    outer loop runs over t = exp(-lambda_e y) in (0, 1).
-    Below y_0 = lambda_d x_b(0)/lambda_e, with x_b the outage bound, every
-    ratio in the region beats the competitors, so at high SNR the outer
-    integrand has a thin layer next to t = 1 that the quadrature can step
-    over unseen; breakpoints at y_0 2^j, j = -3..5, resolve it.
+    Up to w1 = min(w_beta + c/_Z_CUT, 1) P is 1 within (1 + _Z_CUT)
+    e^-_Z_CUT, so that head of R is closed form: (B - (1 - g)^k)/(g k)
+    with B = (1 - g + g w1)^k.  The tail above w1 is one quadrature over
+    tau = log((w - w_beta)/(w1 - w_beta)), in which P's rise near
+    w - w_beta = c is O(1) wide at every SNR.  There is no tail when
+    w1 = 1 (a certain outage) or c = 0 (r_th = 0: P = 0 above w_beta).
 
-    Returns (value, error estimate, quadpack's message when the outer loop
-    did not converge, else "").  The estimate adds the largest inner error
-    to the outer one: the t interval has length 1, so inner errors move
-    the outer integral by at most that much.
+    Returns (B, tail, the tail's error estimate, quadpack's message when
+    it did not converge, else "").
     """
-    lam_d, lam_e, m = p.lambda_d, p.lambda_e, p.k - 1
-    dead_e = (1.0 - gate_p) * lam_e
-    inner_err = 0.0
+    lam_d, lam_e = p.lambda_d, p.lambda_e
+    beta = p.rho * p.sigma_d / p.sigma_e
+    scale = lam_d * beta + lam_e
+    above = lam_e / scale  # 1 - w_beta
+    c = lam_d * lam_e * p.sigma_d * (p.rho - 1.0) / scale
+    gap = c / _Z_CUT  # w1 - w_beta
+    if gap >= above:
+        return 1.0, 0.0, 0.0, ""
+    g, m = gate_p, p.k - 1
+    drop = g * (above - gap)  # 1 - (1 - g + g w1)
+    if drop < 0.5:  # log1p keeps the digits of a B near 1
+        power = math.exp(p.k * math.log1p(-drop))
+    else:  # and w1 = w_beta + gap those of a small B
+        power = (1.0 - g + g * (lam_d * beta / scale + gap)) ** p.k
+    if gap == 0.0:
+        return power, 0.0, 0.0, ""
 
-    def integrand(u: float, y: float) -> float:
-        # f_D dx times 1 - g + g F1(x/y), written without cancellation
-        return math.exp(-u) * ((u + dead_e * y) / (u + lam_e * y)) ** m
+    def integrand(tau: float) -> float:
+        # d = w - w_beta is exactly gap at tau = 0, where the head ends, and
+        # 1 - w = above - d keeps its digits near w = 1
+        d = gap * math.exp(tau)
+        z = c / d
+        return (1.0 - g * (above - d)) ** m * (-math.expm1(-z) - z * math.exp(-z)) * d
 
-    def inner(y: float) -> float:
-        nonlocal inner_err
-        val, err = integrate.quad(
-            integrand, 0.0, min(lam_d * p.outage_gain_bound(y), _U_CUT), args=(y,),
-            epsabs=_INNER_EPSABS, epsrel=_INNER_EPSREL, limit=_QUAD_LIMIT,
-        )
-        inner_err = max(inner_err, err)
-        return val
-
-    layer = lam_d * p.outage_gain_bound(0.0)  # lambda_e y_0
-    edges = {math.exp(-layer * 2.0**j) for j in range(-3, 6)}
-    points = sorted(t for t in edges if 0.0 < t < 1.0)
     out = integrate.quad(
-        lambda t: inner(-math.log(t) / lam_e), 0.0, 1.0,
-        epsabs=_OUTER_EPSABS, epsrel=_OUTER_EPSREL, limit=_QUAD_LIMIT,
-        points=points or None, full_output=1,
+        integrand, 0.0, math.log(above / gap),
+        epsabs=_EPSABS, epsrel=_EPSREL, limit=_QUAD_LIMIT, full_output=1,
     )
     message = " ".join(out[3].split()) if len(out) > 3 else ""
-    return out[0], out[1] + inner_err, message
+    return power, out[0], out[1], message
 
 
 def nzr_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
@@ -183,21 +183,21 @@ def nzr_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
 
 @lru_cache(maxsize=4096)
 def sop_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
-    """Outage probability by one nested-quadrature region integral.
+    """Outage probability: a closed-form head plus one 1-D quadrature tail.
 
     Transmitter j is selected and in outage with density f_D f_E times the
     chance no competitor beats it.  With gate knowledge j must be live and
     the all-dead atom (1 - delta)^k counts as outage; without it every
     competitor takes part and a dead selected gate, probability 1 - delta,
     forces a zero rate.  Either way the k symmetric choices of j add
-    k delta times the region integral.
+    k delta times the region integral (`_region_integral`).  Its closed-form
+    head joins the atom: (1 - delta + delta w1)^k with gate knowledge,
+    1 - delta + delta w1^k without, both exactly 1 when w1 = 1.
     """
     k, delta = p.k, p.delta
-    if mode is KnowledgeMode.AVAILABLE:
-        atom, gate_p = (1.0 - delta) ** k, delta
-    else:
-        atom, gate_p = 1.0 - delta, 1.0
-    region, err, message = _region_integral(p, gate_p)
+    available = mode is KnowledgeMode.AVAILABLE
+    power, tail, err, message = _region_integral(p, delta if available else 1.0)
+    head = power if available else 1.0 - delta + delta * power
     err *= k * delta
     if message:
         ok, note = False, f"quadrature did not converge: {message}"
@@ -206,7 +206,7 @@ def sop_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
     else:
         ok, note = True, ""
     return _flag_range(
-        MetricValue(Metric.SOP, mode, atom + k * delta * region, "quadrature", ok, note, err)
+        MetricValue(Metric.SOP, mode, head + k * delta * tail, "quadrature", ok, note, err)
     )
 
 
@@ -218,6 +218,7 @@ def oracle(p: SystemParams, metric: Metric, mode: KnowledgeMode) -> MetricValue:
 # series closed forms
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _signed_factorial_ratio(n: int) -> float:
     """sum_{i=1}^{n} (-1)^(n-i) (n-i)! (i-1)! / n!, evaluated exactly."""
     total = Fraction(0)
@@ -245,6 +246,7 @@ def nzr_closed_form(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
     v = p.sigma_d * p.lambda_d
     k, delta = p.k, p.delta
     try:
+        bracket = {n: _nzr_series_bracket(n, u, v) for n in range(1, k)}
         if mode is KnowledgeMode.AVAILABLE:
             p_zero = (1.0 - delta) ** k + k * delta * (1.0 - delta) ** (k - 1) * v / (u + v)
             for q in range(1, k + 1):
@@ -258,7 +260,7 @@ def nzr_closed_form(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
                         * delta ** (n + 1)
                         * u
                         / (u + v) ** (n + 1)
-                        * _nzr_series_bracket(n, u, v)
+                        * bracket[n]
                     )
             value = 1.0 - p_zero
         else:
@@ -270,7 +272,7 @@ def nzr_closed_form(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
                     * n
                     * u
                     / (u + v) ** (n + 1)
-                    * _nzr_series_bracket(n, u, v)
+                    * bracket[n]
                 )
             value = delta * (1.0 - k * tail)
     except (OverflowError, ZeroDivisionError) as exc:
@@ -326,7 +328,10 @@ SOP_SERIES_AVAILABLE_DEFAULT = SopSeriesVariant()
 SOP_SERIES_UNAVAILABLE_DEFAULT = SopSeriesVariant(residual_weight="e-power", tail_rule="product")
 
 
-def _sop_series_bracket(n: int, p: SystemParams, variant: SopSeriesVariant) -> float:
+def _sop_series_bracket(
+    n: int, p: SystemParams, variant: SopSeriesVariant, upper: Callable[[int], float]
+) -> float:
+    """Per-order term of both outage series; `upper(s)` is Gamma(s, b)."""
     u = p.sigma_e * p.lambda_e
     v = p.sigma_d * p.lambda_d
     rho = p.rho
@@ -348,7 +353,7 @@ def _sop_series_bracket(n: int, p: SystemParams, variant: SopSeriesVariant) -> f
     for r in range(1, n + 1):
         inner = 0.0
         for i in range(0, n + 1):
-            inner += binomial(n, i) * (-b) ** (n - i) * upper_incomplete_gamma(i - r + 1, b)
+            inner += binomial(n, i) * (-b) ** (n - i) * upper(i - r + 1)
         double_sum += math.factorial(r - 1) * (-1.0) ** (n - r) * inner
     t3 = -res_coef / (a ** (n + 1) * math.factorial(n)) * double_sum
 
@@ -363,7 +368,7 @@ def _sop_series_bracket(n: int, p: SystemParams, variant: SopSeriesVariant) -> f
         u ** (n + 1)
         / (n * a ** (n + 1))
         * sum(
-            binomial(n, q) * upper_incomplete_gamma(q - n + 1, b) / (a * (-b) ** (q - n))
+            binomial(n, q) * upper(q - n + 1) / (a * (-b) ** (q - n))
             for q in range(0, n + 1)
         )
     )
@@ -399,6 +404,8 @@ def sop_closed_form(
     b = v * (rho - 1.0)
     try:
         single_link_outage = 1.0 - u * math.exp(-b) / (rho * v + u)
+        upper = lru_cache(maxsize=None)(lambda s: upper_incomplete_gamma(s, b))
+        bracket = {n: _sop_series_bracket(n, p, variant, upper) for n in range(1, k)}
         if mode is KnowledgeMode.AVAILABLE:
             value = (1.0 - delta) ** k
             value += delta * (1.0 - delta) ** (k - 1) * k * single_link_outage
@@ -411,7 +418,7 @@ def sop_closed_form(
                         * (-1.0) ** (n + 1)
                         * delta ** (n + 1)
                         * n
-                        * _sop_series_bracket(n, p, variant)
+                        * bracket[n]
                     )
                 value += binomial(k, q) * q * inner
         else:
@@ -421,7 +428,7 @@ def sop_closed_form(
                     binomial(k - 1, n)
                     * (-1.0) ** (n + 1)
                     * n
-                    * _sop_series_bracket(n, p, variant)
+                    * bracket[n]
                 )
             value = (1.0 - delta) + delta * k * tail
     except (OverflowError, ZeroDivisionError) as exc:

@@ -79,19 +79,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_int_list(text: str, name: str) -> list[int]:
+def _parse_list(text: str, name: str, kind: type = float) -> list:
     try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad {name} value {text!r}: {exc}") from None
-    if not values:
-        raise UsageError(f"{name} needs at least one value, got {text!r}")
-    return values
-
-
-def _parse_float_list(text: str, name: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"bad {name} value {text!r}: {exc}") from None
     if not values:
@@ -115,7 +105,7 @@ def _parse_snr_values(text: str) -> list[float]:
         if count < 1:
             raise UsageError(f"empty snr-db range {text!r}")
         return [lo + i * step for i in range(count)]
-    return _parse_float_list(text, "snr-db")
+    return _parse_list(text, "snr-db")
 
 
 def _parse_enum_list(text: str, enum_cls, name: str) -> list:
@@ -207,8 +197,8 @@ def resolve_settings(args: argparse.Namespace, overrides: dict[str, str]) -> dic
 
 
 def _typed(settings: dict[str, str]) -> dict:
-    trials_list = _parse_int_list(settings["trials"], "trials")
-    seed_list = _parse_int_list(settings["seed"], "seed")
+    trials_list = _parse_list(settings["trials"], "trials", int)
+    seed_list = _parse_list(settings["seed"], "seed", int)
     if len(trials_list) != 1 or len(seed_list) != 1:
         raise UsageError("trials and seed take a single value")
     trials, seed = trials_list[0], seed_list[0]
@@ -217,13 +207,13 @@ def _typed(settings: dict[str, str]) -> dict:
     if not 0 <= seed < _SEED_LIMIT:
         raise UsageError(f"seed must be in [0, 2**128), got {seed}")
     return {
-        "ks": _parse_int_list(settings["k"], "k"),
-        "deltas": _parse_float_list(settings["delta"], "delta"),
+        "ks": _parse_list(settings["k"], "k", int),
+        "deltas": _parse_list(settings["delta"], "delta"),
         "snrs": _parse_snr_values(settings["snr-db"]),
-        "lambda_e_db": _parse_float_list(settings["lambda-e-db"], "lambda-e-db")[0],
-        "sigma_d_db": _parse_float_list(settings["sigma-d-db"], "sigma-d-db")[0],
-        "sigma_e_db": _parse_float_list(settings["sigma-e-db"], "sigma-e-db")[0],
-        "r_th": _parse_float_list(settings["rth"], "rth")[0],
+        "lambda_e_db": _parse_list(settings["lambda-e-db"], "lambda-e-db")[0],
+        "sigma_d_db": _parse_list(settings["sigma-d-db"], "sigma-d-db")[0],
+        "sigma_e_db": _parse_list(settings["sigma-e-db"], "sigma-e-db")[0],
+        "r_th": _parse_list(settings["rth"], "rth")[0],
         "schemes": _parse_enum_list(settings["scheme"], Scheme, "scheme"),
         "modes": _parse_enum_list(settings["mode"], KnowledgeMode, "mode"),
         "metrics": _parse_enum_list(settings["metric"], Metric, "metric"),

@@ -205,12 +205,14 @@ def _choose(
     g_e: np.ndarray,
     zero: np.ndarray | None,
     penalty: np.ndarray | None,
+    e_snr: np.ndarray | None = None,
 ) -> np.ndarray:
     """Selected transmitter per trial from (k, trials) gains; ties go to the lowest index.
 
     `zero` is `_zeros(g_e)`.  `penalty` is None without gate knowledge; with
     it dead transmitters score -inf, and when every gate is down the pick is
-    index 0, which is dead and so never counts as live.
+    index 0, which is dead and so never counts as live.  `e_snr` is the
+    optimal rule's denominator 1 + g_e / sigma_e, computed here when None.
     """
     if scheme is Scheme.RTS:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -222,9 +224,9 @@ def _choose(
     elif scheme is Scheme.MIN_ES:
         score = -g_e
     else:
-        score = np.maximum(
-            np.log2((1.0 + g_d / p.sigma_d) / (1.0 + g_e / p.sigma_e)), 0.0
-        )
+        if e_snr is None:
+            e_snr = 1.0 + g_e / p.sigma_e
+        score = np.maximum(np.log2((1.0 + g_d / p.sigma_d) / e_snr), 0.0)
     return _first_argmax(score, penalty)
 
 
@@ -355,11 +357,12 @@ def simulate_grid(
     All points must share k, so they read one stream (seed, k), which is
     walked once.  Per block the uniforms are generated once, mapped to
     unit-mean exponential gains once per side and to a gate mask and score
-    penalty once per distinct delta, all in (k, block) layout; each point
-    adds only its 1/lambda scaling, its selection and its hit counts, and
-    points with equal `_selection_key` share one selection.  Memory is O(block) whatever `trials` and the
-    number of points, and every estimate equals `simulate_point` on that
-    point alone, at any block size.
+    penalty once per distinct delta, all in (k, block) layout, and the
+    optimal rule's 1 + g_e / sigma_e once per (lambda_e, sigma_e); each
+    point adds only its 1/lambda scaling, its selection and its hit counts,
+    and points with equal `_selection_key` share one selection.  Memory is
+    O(block) whatever `trials` and the number of points, and every estimate
+    equals `simulate_point` on that point alone, at any block size.
     """
     _check_run(trials, block)
     ks = {p.k for p, _, _ in points}
@@ -378,6 +381,7 @@ def simulate_grid(
         e_d, e_e = _unit_gains(u, k)
         gates: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         scaled_e: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
+        e_snrs: dict[tuple[float, float], np.ndarray] = {}
         chosen: dict[tuple, np.ndarray] = {}
         lambda_d = None
         for i in order:
@@ -395,7 +399,10 @@ def simulate_grid(
             if key not in chosen:
                 if mode is KnowledgeMode.UNAVAILABLE:
                     penalty = None
-                chosen[key] = _choose(p, scheme, g_d, g_e, zero, penalty)
+                e_key = p.lambda_e, p.sigma_e
+                if scheme is Scheme.OPTIMAL and e_key not in e_snrs:
+                    e_snrs[e_key] = 1.0 + g_e / p.sigma_e
+                chosen[key] = _choose(p, scheme, g_d, g_e, zero, penalty, e_snrs.get(e_key))
             sel = chosen.pop(key) if last_use[key] == i else chosen[key]
             raw, live = _selected_link(p, g_d, g_e, active, sel)
             nzr_hits[i] += int(np.count_nonzero(live & (raw > 0.0)))

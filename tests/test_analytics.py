@@ -1,13 +1,18 @@
 import io
 import math
+import sys
+from dataclasses import replace
 
 import pytest
 import quadrature_reference as reference
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rts_secrecy import analytics
 from rts_secrecy.analytics import (
     DOCUMENTED_SERIES_DEVIATIONS,
     MATCH_TOL,
+    MetricValue,
     SopSeriesVariant,
     VERDICT_MATCH,
     VERDICT_MISMATCH,
@@ -66,12 +71,13 @@ def test_oracle_values_in_range_and_converged():
 
 
 def test_oracle_range_check_allows_its_own_error_estimate():
-    # at -30 dB the outage is certain up to quadrature error: the value
-    # lands a few 1e-12 above 1, inside its own error estimate
-    p = SystemParams.from_db(k=16, delta=0.9, snr_db=-30.0)
-    r = sop_oracle(p, UNAVAIL)
-    assert r.value > 1.0
-    assert r.ok, r.note
+    # a quadrature value a few 1e-12 above 1 lies inside its own error
+    # estimate; without that estimate it is out of range
+    above = MetricValue(Metric.SOP, UNAVAIL, 1.0 + 7e-12, "quadrature", abserr=2e-11)
+    assert analytics._flag_range(above).ok
+    flagged = analytics._flag_range(replace(above, abserr=0.0))
+    assert not flagged.ok
+    assert flagged.note == "raw value outside [0, 1]"
 
 
 # --- oracle routes: exact NZR, one region integral per SOP cell --------------
@@ -158,10 +164,10 @@ def test_sop_certain_outage_at_low_snr_and_high_threshold(k, mode):
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_unconverged_quadrature_is_not_ok(monkeypatch, fresh_sop_cache):
-    monkeypatch.setattr(analytics, "_QUAD_LIMIT", 10)
+    monkeypatch.setattr(analytics, "_QUAD_LIMIT", 1)
     r = sop_oracle(SystemParams.from_db(k=3, delta=0.9, snr_db=20.0), AVAIL)
     assert not r.ok
-    assert "maximum number of subdivisions (10)" in r.note
+    assert "maximum number of subdivisions (1)" in r.note
 
 
 @pytest.mark.parametrize("k", [1, 16, 64])
@@ -182,6 +188,143 @@ def test_each_sop_cell_integrates_one_region(monkeypatch, fresh_sop_cache, k):
         calls.clear()
         nzr_oracle(p, mode)
         assert calls == []
+
+
+# --- the 1-D SOP oracle over the valid domain --------------------------------
+
+# a few ulps of a value in [0, 1]: the floating-point sums of both routes
+_ROUNDING = 4 * sys.float_info.epsilon
+# 15 applications of the 21-point Gauss-Kronrod rule; the most seen over
+# k 1-64, delta 0-1, -30 to 80 dB, r_th 0-6 and three noise settings is 231
+_NEVAL_BOUND = 21 * 15
+WIDE_SNRS = [-30.0, -10.0, 10.0, 30.0, 50.0, 80.0]
+
+
+@pytest.mark.parametrize("r_th", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("snr", WIDE_SNRS)
+def test_sop_matches_nested_reference_on_wide_grid(snr, r_th):
+    # the reference's per-q regions depend on neither k nor delta and are
+    # cached; the q-loop runs with gate knowledge up to k = 5
+    for k in (1, 2, 3, 5, 16, 64):
+        for delta in (0.0, 0.35, 0.9, 1.0):
+            p = SystemParams.from_db(k=k, delta=delta, snr_db=snr, r_th=r_th)
+            for mode in (UNAVAIL, AVAIL) if k <= 5 else (UNAVAIL,):
+                r = sop_oracle(p, mode)
+                value, err = reference.sop(p, mode)
+                assert r.ok, r.note
+                assert abs(r.value - value) <= r.abserr + err + _ROUNDING, (k, delta, mode)
+
+
+@pytest.mark.parametrize("mode", list(KnowledgeMode))
+@pytest.mark.parametrize("k", [1, 3, 16, 64])
+@pytest.mark.parametrize("delta", [0.0, 0.35, 1.0])
+def test_zero_threshold_sop_and_nzr_sum_to_one(mode, k, delta):
+    for snr in WIDE_SNRS:
+        p = SystemParams.from_db(k=k, delta=delta, snr_db=snr, r_th=0.0)
+        sop = sop_oracle(p, mode)
+        assert sop.abserr == 0.0  # closed form: no tail above w_beta
+        assert abs(sop.value + nzr_oracle(p, mode).value - 1.0) <= 1e-12
+
+
+class _CountingIntegrate:
+    """Stands in for `scipy.integrate` inside `analytics`, summing quadpack's
+    `neval` and error estimates."""
+
+    def __init__(self, integrate):
+        self._integrate = integrate
+        self.neval = 0
+        self.abserr = 0.0
+
+    def quad(self, *args, **kwargs):
+        out = self._integrate.quad(*args, **kwargs)
+        self.neval += out[2]["neval"]
+        self.abserr += out[1]
+        return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 64])
+def test_sop_cell_integrand_evaluations_are_bounded(monkeypatch, fresh_sop_cache, k):
+    counter = _CountingIntegrate(analytics.integrate)
+    monkeypatch.setattr(analytics, "integrate", counter)
+    for snr in range(-30, 81, 10):
+        for r_th in (0.0, 1.0, 3.0):
+            for delta in (0.0, 0.9, 1.0):
+                p = SystemParams.from_db(k=k, delta=delta, snr_db=float(snr), r_th=r_th)
+                for mode in KnowledgeMode:
+                    counter.neval, counter.abserr = 0, 0.0
+                    r = sop_oracle(p, mode)
+                    assert r.ok, r.note
+                    assert counter.neval <= _NEVAL_BOUND, (snr, r_th, delta, mode)
+                    # the tail's estimate, weighted like the tail itself
+                    assert r.abserr == k * delta * counter.abserr
+
+
+# near-certain outages at k = 64, found by the properties below: a head
+# power rounded as a plain pow, or a head and tail that meet at two
+# different w1, put these values up to 1.4e-14 above 1, beyond their
+# error estimates
+NEAR_CERTAIN = [
+    dict(k=64, delta=0.25, snr_db=-16.0, lambda_e_db=0.0, sigma_d_db=0.0, sigma_e_db=0.0),
+    dict(
+        k=64, delta=1.0, snr_db=-10.34482307267304, r_th=5.440395184897779,
+        lambda_e_db=0.7930051929077067, sigma_d_db=-9.658511425785775,
+        sigma_e_db=8.295734545077234,
+    ),
+]
+
+
+@pytest.mark.parametrize("kwargs", NEAR_CERTAIN)
+def test_near_certain_outage_stays_within_its_estimate_of_one(kwargs):
+    for mode in KnowledgeMode:
+        r = sop_oracle(SystemParams.from_db(**kwargs), mode)
+        assert r.ok, r.note
+        assert r.value <= 1.0 + r.abserr
+
+
+_DOMAIN = dict(
+    k=st.sampled_from([1, 64]) | st.integers(1, 64),
+    delta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    snr_db=st.floats(-30.0, 80.0),
+    r_th=st.sampled_from([0.0]) | st.floats(0.0, 6.0),
+    lambda_e_db=st.floats(-10.0, 20.0),
+    sigma_d_db=st.floats(-10.0, 10.0),
+    sigma_e_db=st.floats(-10.0, 10.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_DOMAIN)
+def test_oracle_values_are_ok_and_probabilities(**kwargs):
+    # in [0, 1] up to the value's own error estimate: the oracle does not
+    # clamp, and a near-certain outage can land a few 1e-16 above 1
+    p = SystemParams.from_db(**kwargs)
+    for metric in Metric:
+        for mode in KnowledgeMode:
+            r = oracle(p, metric, mode)
+            assert r.ok, r.note
+            assert -r.abserr <= r.value <= 1.0 + r.abserr
+
+
+@settings(max_examples=150, deadline=None)
+@given(step=st.floats(0.0, 110.0), **_DOMAIN)
+def test_sop_non_increasing_in_snr(step, **kwargs):
+    low = SystemParams.from_db(**kwargs)
+    kwargs["snr_db"] = min(kwargs["snr_db"] + step, 80.0)
+    high = SystemParams.from_db(**kwargs)
+    for mode in KnowledgeMode:
+        a, b = sop_oracle(low, mode), sop_oracle(high, mode)
+        assert b.value <= a.value + a.abserr + b.abserr + _ROUNDING
+
+
+@settings(max_examples=150, deadline=None)
+@given(other=st.floats(1e-200, 1.0), **_DOMAIN)
+def test_nzr_without_knowledge_over_delta_does_not_depend_on_delta(other, **kwargs):
+    # delta >= 1e-200 keeps NZR a normal float, with all of its digits
+    assume(kwargs["delta"] >= 1e-200)
+    a = nzr_oracle(SystemParams.from_db(**kwargs), UNAVAIL).value / kwargs["delta"]
+    kwargs["delta"] = other
+    b = nzr_oracle(SystemParams.from_db(**kwargs), UNAVAIL).value / other
+    assert abs(a - b) <= _ROUNDING * max(a, b)
 
 
 # --- series closed forms: exact cells ---------------------------------------

@@ -207,7 +207,7 @@ def test_validate_report_and_exit(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_validate_check_fails_on_an_unconverged_oracle(tmp_path, monkeypatch):
-    monkeypatch.setattr(analytics, "_QUAD_LIMIT", 10)
+    monkeypatch.setattr(analytics, "_QUAD_LIMIT", 1)
     analytics.sop_oracle.cache_clear()
     try:
         out = tmp_path / "validate.csv"
@@ -225,7 +225,7 @@ def test_validate_check_fails_on_an_unconverged_oracle(tmp_path, monkeypatch):
         if r["metric"] == "sop":
             assert r["documented"] == "NO"
             assert "oracle: " in r["note"]
-            assert "maximum number of subdivisions (10)" in r["note"]
+            assert "maximum number of subdivisions (1)" in r["note"]
         else:
             assert r["documented"] == "yes"
             assert "oracle" not in r["note"]
