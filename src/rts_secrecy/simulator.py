@@ -24,6 +24,10 @@ from .params import KnowledgeMode, Metric, Scheme, SystemParams, secrecy_rate
 DEFAULT_BLOCK = 1 << 14
 _WORDS_PER_COUNTER_STEP = 4
 _PIECE_WORDS = 1 << 15  # values per piece when a block's gains are transposed
+# rts and tts picks made on unit gains are shared across these lambdas (see
+# `_certified_choose`); outside them every point selects on its own gains
+_SAFE_LAMBDA = (1e-100, 1e100)
+_MARGIN = 1.0 + 2.0**-49  # 1 + 16u, u = 2^-53: certifies a unit-gain pick
 
 
 def trial_stride(k: int) -> int:
@@ -243,6 +247,65 @@ def _selected_link(
     return raw, active.take(pick)
 
 
+def _gather(sel: np.ndarray, e_d: np.ndarray, e_e: np.ndarray, cols: np.ndarray) -> tuple:
+    """(flat index, e_d, e_e) of the selected link per trial; `cols` is arange(trials).
+
+    A point scales the gathered unit gains by its own 1/lambda, which is
+    bit for bit the gather of its scaled gains.
+    """
+    pick = sel * cols.size + cols
+    return pick, e_d.take(pick), e_e.take(pick)
+
+
+def _certified_choose(
+    scheme: Scheme, e_d: np.ndarray, e_e: np.ndarray, zero: np.ndarray | None, penalty: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """rts or tts pick per trial on unit gains, and the trials it is not certified for.
+
+    `zero` is `_zeros(e_e)` and `penalty` as in `_choose`.  Both rules are
+    scale-free: g = e / lambda scales every score of a trial by one
+    constant, so in exact arithmetic the pick is the same at every lambda.
+    In floating point the unit rts score is s = fl(e_d / e_e) and the scaled
+    one S = fl(fl(e_d / lambda_d) / fl(e_e / lambda_e)).  With each result
+    normal, every fl has relative error at most u = 2^-53, so
+
+        S = s (lambda_e / lambda_d) (1 + eta),  (1 - u)^2 / (1 + u)^2 <= 1 + eta <= (1 + u)^2 / (1 - u)^2,
+
+    |eta| <= 4u + O(u^2), with one constant lambda_e / lambda_d for the whole
+    trial (tts: S = fl(e_d / lambda_d), |eta| <= 2u + O(u^2)).  A trial is
+    certified when its best live score s1 beats every other live score s by
+    s1 > fl(s * _MARGIN) >= s (1 + 16u)(1 - u) > s (1 + u)^4 / (1 - u)^4:
+    then S1 > S strictly, and the scaled first argmax is the same row.  Also
+    certified: a single live link, an all-dead trial (pick 0 either way), and
+    a unique +inf (e_e == 0, which holds exactly when g_e == 0).  Not
+    certified: exact finite ties, a top score of 0 and several +inf.
+
+    Normal results: Philox uniforms are multiples of 2^-53 in [0, 1), so a
+    unit gain is 0 or in [2^-53, 53 ln 2] = [1.1e-16, 36.74], s is 0, +inf or
+    in [3.0e-18, 3.3e17], and s * _MARGIN cannot overflow.  g is normal for
+    lambda in [2.0e-307, 5.0e291] and S for lambda_e / lambda_d in
+    [7.4e-291, 5.4e290], which holds for both lambdas in [1/L, L] with
+    L <= 1.17e145; `_SAFE_LAMBDA` takes L = 1e100.  g_e then underflows to 0
+    only where e_e is 0, and S overflows nowhere.
+    """
+    if scheme is Scheme.RTS:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = e_d / e_e
+        if zero is not None:
+            score[zero] = np.inf  # as in `_choose`
+    else:
+        score = e_d
+    if penalty is not None:
+        with np.errstate(invalid="ignore"):
+            score = score + penalty
+    top = score.max(axis=0)
+    if penalty is not None and np.isnan(top).any():  # +inf met a dead gate: inf - inf
+        score[np.isnan(score)] = -np.inf
+        top = score.max(axis=0)
+    near = np.count_nonzero(score * _MARGIN >= top, axis=0)  # the top row counts itself
+    return _first_argmax(score), np.flatnonzero((near > 1) & (top > -np.inf))
+
+
 def _block_outcomes(
     p: SystemParams, scheme: Scheme, mode: KnowledgeMode, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -322,10 +385,14 @@ def outage_indicators(
 def _selection_key(p: SystemParams, scheme: Scheme, mode: KnowledgeMode) -> tuple:
     """Everything the selection of `scheme` reads, as exact float values.
 
-    Points with equal keys pick the same transmitter in every trial.  Only
-    bit-identical scores are shared: rounding E_d / lambda_d can turn a
-    strict order into a tie and move the lowest-index argmax, so rules that
-    read g_d never share across lambda_d even though they are scale-free.
+    Points with equal keys share one selection.  rts and tts are scale-free:
+    while the lambdas they read lie in `_SAFE_LAMBDA` their key holds no
+    lambda (None), and the engine picks once on the unit gains, certified
+    per trial by a relative margin (`_certified_choose`); each point
+    re-selects the trials that fail it on its own scaled gains.  Other keys
+    share only bit-identical scores: outside that range rounding
+    E_d / lambda_d could turn a strict order into a tie and move the
+    lowest-index argmax.
     """
     reads = {
         Scheme.RTS: (p.lambda_d, p.lambda_e),
@@ -333,6 +400,9 @@ def _selection_key(p: SystemParams, scheme: Scheme, mode: KnowledgeMode) -> tupl
         Scheme.MIN_ES: (p.lambda_e,),
         Scheme.OPTIMAL: (p.lambda_d, p.lambda_e, p.sigma_d, p.sigma_e),
     }[scheme]
+    low, high = _SAFE_LAMBDA
+    if scheme in (Scheme.RTS, Scheme.TTS) and all(low <= lam <= high for lam in reads):
+        reads = None
     gate = p.delta if mode is KnowledgeMode.AVAILABLE else None
     return scheme, mode, reads, gate
 
@@ -358,11 +428,13 @@ def simulate_grid(
     walked once.  Per block the uniforms are generated once, mapped to
     unit-mean exponential gains once per side and to a gate mask and score
     penalty once per distinct delta, all in (k, block) layout, and the
-    optimal rule's 1 + g_e / sigma_e once per (lambda_e, sigma_e); each
-    point adds only its 1/lambda scaling, its selection and its hit counts,
-    and points with equal `_selection_key` share one selection.  Memory is
-    O(block) whatever `trials` and the number of points, and every estimate
-    equals `simulate_point` on that point alone, at any block size.
+    optimal rule's 1 + g_e / sigma_e once per (lambda_e, sigma_e).  Points
+    with equal `_selection_key` share one selection and its gathered unit
+    gains; each point adds only its 1/lambda scaling of those, its gate
+    states and its hit counts.  Scaled gains are made only for the points
+    that select on them.  Memory is O(block) whatever `trials` and the
+    number of points, and every estimate equals `simulate_point` on that
+    point alone, at any block size.
     """
     _check_run(trials, block)
     ks = {p.k for p, _, _ in points}
@@ -379,32 +451,59 @@ def simulate_grid(
         count = min(block, trials - start)
         u = uniform_block(seed, k, start, count)
         e_d, e_e = _unit_gains(u, k)
+        cols = np.arange(count)
+        unit_zero = _zeros(e_e)
         gates: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        g_ds: dict[float, np.ndarray] = {}
         scaled_e: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
         e_snrs: dict[tuple[float, float], np.ndarray] = {}
-        chosen: dict[tuple, np.ndarray] = {}
-        lambda_d = None
-        for i in order:
-            p, scheme, mode = points[i]
-            if p.lambda_d != lambda_d:
-                lambda_d, g_d = p.lambda_d, e_d / p.lambda_d
+        chosen: dict[tuple, tuple] = {}
+
+        def scaled(p: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+            """(g_d, g_e, `_zeros(g_e)`) of a point, made on first use."""
+            if p.lambda_d not in g_ds:
+                g_ds.clear()  # points come grouped by lambda_d
+                g_ds[p.lambda_d] = e_d / p.lambda_d
             if p.lambda_e not in scaled_e:
                 g_e = e_e / p.lambda_e
                 scaled_e[p.lambda_e] = g_e, _zeros(g_e)
+            return (g_ds[p.lambda_d], *scaled_e[p.lambda_e])
+
+        for i in order:
+            p, scheme, mode = points[i]
             if p.delta not in gates:
                 active = _gates(u, k, p.delta)
                 gates[p.delta] = active, _penalty(active)
-            (g_e, zero), (active, penalty) = scaled_e[p.lambda_e], gates[p.delta]
+            active, penalty = gates[p.delta]
+            if mode is KnowledgeMode.UNAVAILABLE:
+                penalty = None
             key = keys[i]
             if key not in chosen:
-                if mode is KnowledgeMode.UNAVAILABLE:
-                    penalty = None
-                e_key = p.lambda_e, p.sigma_e
-                if scheme is Scheme.OPTIMAL and e_key not in e_snrs:
-                    e_snrs[e_key] = 1.0 + g_e / p.sigma_e
-                chosen[key] = _choose(p, scheme, g_d, g_e, zero, penalty, e_snrs.get(e_key))
-            sel = chosen.pop(key) if last_use[key] == i else chosen[key]
-            raw, live = _selected_link(p, g_d, g_e, active, sel)
+                if key[2] is None:  # scale-free rule: one pick on the unit gains
+                    sel, redo = _certified_choose(scheme, e_d, e_e, unit_zero, penalty)
+                else:
+                    g_d, g_e, zero = scaled(p)
+                    e_key = p.lambda_e, p.sigma_e
+                    if scheme is Scheme.OPTIMAL and e_key not in e_snrs:
+                        e_snrs[e_key] = 1.0 + g_e / p.sigma_e
+                    sel, redo = _choose(p, scheme, g_d, g_e, zero, penalty, e_snrs.get(e_key)), cols[:0]
+                chosen[key] = (sel, redo, None) if redo.size else (None, None, _gather(sel, e_d, e_e, cols))
+            sel, redo, gathered = chosen.pop(key) if last_use[key] == i else chosen[key]
+            if gathered is None:  # trials the unit pick does not certify: this point's own pick
+                g_d, g_e, zero = scaled(p)
+                sel = sel.copy()
+                sel[redo] = _choose(
+                    p,
+                    scheme,
+                    g_d[:, redo],
+                    g_e[:, redo],
+                    None if zero is None else zero[:, redo],
+                    None if penalty is None else penalty[:, redo],
+                )
+                gathered = _gather(sel, e_d, e_e, cols)
+            pick, sel_d, sel_e = gathered
+            raw = np.log2((1.0 + sel_d / p.lambda_d / p.sigma_d) / (1.0 + sel_e / p.lambda_e / p.sigma_e))
+            live = active.take(pick)
             nzr_hits[i] += int(np.count_nonzero(live & (raw > 0.0)))
             sop_hits[i] += int(np.count_nonzero(~live | (raw < p.r_th)))
     return [

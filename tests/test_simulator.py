@@ -206,6 +206,249 @@ def test_engine_matches_select_on_exact_ties(monkeypatch):
             assert est[Metric.SOP].value == sum(out.rate < p.r_th for out in outs) / trials
 
 
+# --- selection shared across lambdas ------------------------------------------
+
+_U_STEP = 2.0**-53  # Philox uniforms are multiples of this
+_E_MAX = float(-np.log1p(-(1.0 - _U_STEP)))  # largest unit gain, 53 ln 2
+
+
+def _gain(u):
+    return float(-np.log1p(-np.float64(u)))
+
+
+def _ulps(x):
+    return int(np.float64(x).view(np.int64))  # monotone for x >= 0
+
+
+def _nudged(u, score, target, gap):
+    """A grid uniform near u whose score is `gap` ulps from `target`, or None."""
+    base = round(u / _U_STEP)
+    for j in sorted(range(-400, 401), key=abs):
+        cand = (base + j) * _U_STEP
+        if 0.0 < cand < 1.0 and _ulps(score(cand)) - _ulps(target) == gap:
+            return cand
+    return None
+
+
+def _near_tie_rows(seed=3, reps=3):
+    """Uniform rows (k = 3) whose links 0 and 1 tie exactly or lie 1-4 ulps apart.
+
+    rts rows: equal or near-equal unit ratios e_d / e_e from different
+    (e_d, e_e); tts rows: equal or near-equal e_d with different e_e.  Link
+    1 sits `gap` ulps (-4..4) from link 0, link 2 is weak, and the gate
+    uniforms cycle so that link 0 is dead at delta = 0.35 while link 1 is
+    up, and the reverse.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(lo, hi):
+        return int(rng.integers(round(lo / _U_STEP), round(hi / _U_STEP))) * _U_STEP
+
+    gate_patterns = [(0.5, 0.2, 0.9), (0.2, 0.5, 0.9), (0.5, 0.5, 0.1)]
+    rows = []
+    for scheme in (Scheme.RTS, Scheme.TTS):
+        for gap in range(-4, 5):
+            made = 0
+            while made < reps:
+                u_d0, u_e0, u_e1 = draw(0.05, 0.95), draw(0.05, 0.95), draw(0.05, 0.95)
+                if scheme is Scheme.RTS:
+                    s0 = _gain(u_d0) / _gain(u_e0)
+                    target = s0 * _gain(u_e1)
+                    if target >= _E_MAX:
+                        continue
+                    u_d1 = _nudged(-math.expm1(-target), lambda c: _gain(c) / _gain(u_e1), s0, gap)
+                else:
+                    u_d1 = _nudged(u_d0, _gain, _gain(u_d0), gap)
+                if u_d1 is None:
+                    continue
+                gates = gate_patterns[len(rows) % len(gate_patterns)]
+                rows.append([u_d0, u_d1, 0.05, u_e0, u_e1, 0.95, *gates])
+                made += 1
+    # rts at +inf: a unique e_e = 0, two of them, and 0/0
+    for u_d, u_e in (([0.3, 0.6, 0.2], [0.0, 0.4, 0.5]), ([0.3, 0.6, 0.2], [0.0, 0.0, 0.5]),
+                     ([0.0, 0.6, 0.2], [0.0, 0.0, 0.5])):
+        for gates in gate_patterns:
+            rows.append([*u_d, *u_e, *gates])
+    return np.array(rows)
+
+
+def _near_tie_grid(snrs=(-30.0, 0.0, 5.0, 10.0, 15.0, 20.0, 50.0, 80.0)):
+    return [
+        (params(k=3, delta=delta, snr_db=snr, lambda_e_db=le, r_th=r_th), scheme, mode)
+        for snr in snrs
+        for le in (3.0, 8.0, 40.0)
+        for delta in (0.35, 0.6, 1.0)
+        for r_th in (0.0, 1.0)
+        for scheme in (Scheme.RTS, Scheme.TTS)
+        for mode in KnowledgeMode
+    ]
+
+
+def _select_hits(p, scheme, mode, u):
+    """(NZR, SOP) hit counts of the scalar `select` on the engine's own gains.
+
+    The realization is built from the numpy unit gains, so both sides see
+    the same floats; the outcome rule is the engine's (unclamped rate).
+    """
+    e_d, e_e = simulator._unit_gains(u, p.k)
+    nzr = sop = 0
+    for t, row in enumerate(u):
+        g_d, g_e = (e_d[:, t] / p.lambda_d).tolist(), (e_e[:, t] / p.lambda_e).tolist()
+        active = tuple(bool(x < p.delta) for x in row[2 * p.k :])
+        out = select(p, scheme, mode, ChannelRealization(tuple(g_d), tuple(g_e), active))
+        live = out.transmitted and active[out.selected]
+        raw = np.log2((1.0 + g_d[out.selected] / p.sigma_d) / (1.0 + g_e[out.selected] / p.sigma_e)) if live else 0.0
+        nzr += bool(live and raw > 0.0)
+        sop += bool(not live or raw < p.r_th)
+    return nzr, sop
+
+
+def _assert_engine_is_reference(points, u):
+    """simulate_grid equals one-point runs, the per-trial path and `select`, trial by trial."""
+    trials = u.shape[0]
+    grid = simulate_grid(points, trials, seed=1, block=trials)
+    assert grid == [simulate_point(p, s, m, trials, seed=1, block=max(1, trials // 3)) for p, s, m in points]
+    for (p, scheme, mode), est in zip(points, grid):
+        rates, _ = trial_outcomes(p, scheme, mode, trials, seed=1, block=trials)
+        outage = outage_indicators(p, scheme, mode, trials, seed=1, block=trials)
+        hits = (round(est[Metric.NZR].value * trials), round(est[Metric.SOP].value * trials))
+        assert hits == (np.count_nonzero(rates > 0.0), np.count_nonzero(outage)), (p, scheme, mode)
+        assert hits == _select_hits(p, scheme, mode, u), (p, scheme, mode)
+
+
+def _patch_stream(monkeypatch, u):
+    monkeypatch.setattr(simulator, "uniform_block", lambda seed, k, start, count: u[start : start + count])
+
+
+def test_engine_matches_select_on_forged_near_ties(monkeypatch):
+    u = _near_tie_rows()
+    e_d, e_e = simulator._unit_gains(u, 3)
+    for scheme in (Scheme.RTS, Scheme.TTS):  # the rows reach the per-point fallback
+        _, redo = simulator._certified_choose(scheme, e_d, e_e, simulator._zeros(e_e), None)
+        assert 0 < redo.size < u.shape[0]
+    _patch_stream(monkeypatch, u)
+    _assert_engine_is_reference(_near_tie_grid(), u)
+    for t in range(0, u.shape[0], 5):  # one trial alone: a one-column block
+        _patch_stream(monkeypatch, u[t : t + 1])
+        _assert_engine_is_reference(_near_tie_grid(snrs=(0.0, 10.0, 20.0)), u[t : t + 1])
+
+
+def test_certified_choose_classifies_columns():
+    # columns: clear winner, unique +inf, single live link, all dead, exact finite
+    # tie, top score 0, two +inf, 1 ulp apart, 0/0 (scores +inf) beside a finite one
+    e_d = np.array([[2.0, 1.0, 5.0, 5.0, 2.0, 0.0, 1.0, 1.0, 0.0],
+                    [1.0, 3.0, 9.0, 9.0, 4.0, 0.0, 3.0, np.nextafter(1.0, 2.0), 1.0]])
+    e_e = np.array([[1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0],
+                    [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 0.0, 1.0, 1.0]])
+    up = np.array([[True] * 9, [True, True, False, False] + [True] * 5])
+    up[0, 3] = False
+    zero = simulator._zeros(e_e)
+    sel, redo = simulator._certified_choose(Scheme.RTS, e_d, e_e, zero, simulator._penalty(up))
+    assert sel.tolist() == [0, 0, 0, 0, 0, 0, 0, 1, 0]
+    assert redo.tolist() == [4, 5, 6, 7]
+    sel, redo = simulator._certified_choose(Scheme.TTS, e_d, e_e, zero, None)
+    assert sel.tolist() == [0, 1, 1, 1, 1, 0, 1, 1, 1]
+    assert redo.tolist() == [5, 7]
+
+
+# unit gains: 0, or -log1p(-u) for grid uniforms, in [2^-53, 53 ln 2]
+_UNIT_GAINS = st.sampled_from([0.0, _U_STEP, _E_MAX]) | st.floats(_U_STEP, _E_MAX)
+_SAFE_LAMBDAS = st.sampled_from(list(simulator._SAFE_LAMBDA)) | st.floats(-100.0, 100.0).map(
+    lambda x: min(max(10.0**x, simulator._SAFE_LAMBDA[0]), simulator._SAFE_LAMBDA[1])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scheme=st.sampled_from([Scheme.RTS, Scheme.TTS]),
+    k=st.integers(1, 5),
+    gains=st.lists(st.tuples(_UNIT_GAINS, _UNIT_GAINS), min_size=5, max_size=5),
+    gaps=st.lists(st.integers(-4, 4), max_size=4),
+    dead=st.sampled_from([0.0, 0.4, 1.0]),
+    lambda_d=_SAFE_LAMBDAS,
+    lambda_e=_SAFE_LAMBDAS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_unit_pick_is_the_scaled_pick(scheme, k, gains, gaps, dead, lambda_d, lambda_e, seed):
+    """On certified trials the unit-gain pick is the scaled first argmax, at any safe lambda.
+
+    In every trial link b + 1 gets link 0's unit score moved by gaps[b] ulps
+    of e_d, so near-ties are the rule, not the exception.
+    """
+    rng = np.random.default_rng(seed)
+    trials = 64
+    pool = np.array(gains)
+    idx = rng.integers(0, len(pool), size=(k, trials))
+    e_d, e_e = pool[idx, 0].copy(), pool[idx, 1].copy()
+    for b, gap in enumerate(gaps[: k - 1], start=1):
+        for t in range(trials):
+            if scheme is Scheme.TTS:
+                target = e_d[0, t]
+            elif e_e[0, t] > 0.0:
+                target = e_d[0, t] / e_e[0, t] * e_e[b, t]
+            else:
+                continue
+            if _U_STEP <= target <= _E_MAX:
+                e_d[b, t] = min(max(target + gap * np.spacing(target), _U_STEP), _E_MAX)
+    up = rng.random((k, trials)) >= dead
+    p = SystemParams(k=k, delta=0.5, lambda_d=lambda_d, lambda_e=lambda_e, sigma_d=1.0, sigma_e=1.0)
+    g_d, g_e = e_d / lambda_d, e_e / lambda_e
+    for penalty in (None, simulator._penalty(up)):
+        sel, redo = simulator._certified_choose(scheme, e_d, e_e, simulator._zeros(e_e), penalty)
+        scaled = simulator._choose(p, scheme, g_d, g_e, simulator._zeros(g_e), penalty)
+        certified = np.ones(trials, dtype=bool)
+        certified[redo] = False
+        assert np.array_equal(sel[certified], scaled[certified])
+
+
+def test_extreme_lambdas_select_on_their_own_gains():
+    """Outside the safe range (+-3000 dB) every point selects on its scaled gains."""
+    points = [
+        (params(k=3, delta=delta, snr_db=snr, lambda_e_db=le), scheme, mode)
+        for snr in (-3000.0, 10.0, 3000.0)
+        for le in (-3000.0, 8.0, 3000.0)
+        for delta in (0.35, 1.0)
+        for scheme in Scheme
+        for mode in KnowledgeMode
+    ]
+    for p, scheme, mode in points:
+        extreme = p.lambda_d > 1e100 or p.lambda_d < 1e-100
+        if scheme is Scheme.RTS:
+            extreme |= p.lambda_e > 1e100 or p.lambda_e < 1e-100
+        if scheme in (Scheme.RTS, Scheme.TTS):
+            assert (simulator._selection_key(p, scheme, mode)[2] is None) is not extreme
+    u = uniform_block(seed=1, k=3, start=0, count=400)
+    _assert_engine_is_reference(points, u)
+
+
+def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
+    """The compare defaults (k = 5, 13 SNRs, 4 schemes, available) make 16 selections a block, not 40."""
+    calls = {"select": 0, "redo": 0}
+    first_argmax, certified_choose = simulator._first_argmax, simulator._certified_choose
+
+    def counting_first_argmax(*args, **kw):
+        calls["select"] += 1
+        return first_argmax(*args, **kw)
+
+    def counting_certified_choose(*args, **kw):
+        sel, redo = certified_choose(*args, **kw)
+        calls["redo"] += redo.size
+        return sel, redo
+
+    monkeypatch.setattr(simulator, "_first_argmax", counting_first_argmax)
+    monkeypatch.setattr(simulator, "_certified_choose", counting_certified_choose)
+    points = [
+        (params(k=5, delta=0.9, snr_db=float(snr)), scheme, AVAIL)
+        for snr in range(0, 61, 5)
+        for scheme in Scheme
+    ]
+    trials = 200_000
+    simulate_grid(points, trials, seed=1)
+    blocks = -(-trials // simulator.DEFAULT_BLOCK)
+    # rts 1, tts 1, min-es 1 and optimal 13, against 13 + 13 + 1 + 13 per lambda
+    assert calls == {"select": 16 * blocks, "redo": 0}
+
+
 # --- scalar selection --------------------------------------------------------
 
 
