@@ -522,15 +522,3 @@ def simulate_point(
     """Both metric estimates for one point; a one-point `simulate_grid`."""
     return simulate_grid([(p, scheme, mode)], trials, seed, block)[0]
 
-
-def estimate_metric(
-    p: SystemParams,
-    scheme: Scheme,
-    mode: KnowledgeMode,
-    metric: Metric,
-    trials: int,
-    seed: int,
-    block: int = DEFAULT_BLOCK,
-) -> MetricEstimate:
-    """One metric estimate; same stream contract as `simulate_point`."""
-    return simulate_point(p, scheme, mode, trials, seed, block)[metric]

@@ -8,23 +8,10 @@ quadrature of its defining integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 EULER_GAMMA = 0.5772156649015328606
 
 MAX_BINOMIAL_N = 64
-
-
-@dataclass(frozen=True)
-class AccuracyBudget:
-    """Tolerance and iteration limits shared by the series evaluators."""
-
-    rel_tol: float = 1e-14
-    abs_tol: float = 1e-300
-    max_terms: int = 200
-
-
-DEFAULT_BUDGET = AccuracyBudget()
 
 
 def binomial(n: int, k: int) -> int:
@@ -88,20 +75,20 @@ def upper_incomplete_gamma(s: int, x: float) -> float:
     return val
 
 
-def exp1(x: float, budget: AccuracyBudget = DEFAULT_BUDGET) -> float:
+def exp1(x: float) -> float:
     """E1(x) for x > 0: power series below 1, modified Lentz continued
-    fraction above."""
+    fraction above; each stops at relative change 1e-14, within 200 terms."""
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"exp1 needs x > 0, got {x}")
     if x <= 1.0:
         # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!)
         total = -EULER_GAMMA - math.log(x)
         term = 1.0
-        for k in range(1, budget.max_terms + 1):
+        for k in range(1, 201):
             term *= -x / k
             contrib = -term / k
             total += contrib
-            if abs(contrib) < budget.rel_tol * abs(total) + budget.abs_tol:
+            if abs(contrib) < 1e-14 * abs(total) + 1e-300:
                 return total
         raise ArithmeticError(f"exp1 series did not converge for x={x}")
     # E1(x) = e^-x / (x + 1 - 1/(x + 3 - 4/(x + 5 - 9/...)))
@@ -110,20 +97,20 @@ def exp1(x: float, budget: AccuracyBudget = DEFAULT_BUDGET) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, budget.max_terms + 1):
+    for i in range(1, 201):
         a = -(i * i)
         b += 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         frac = c * d
         h *= frac
-        if abs(frac - 1.0) < budget.rel_tol:
+        if abs(frac - 1.0) < 1e-14:
             return h * math.exp(-x)
     raise ArithmeticError(f"exp1 continued fraction did not converge for x={x}")
 
 
-def exp_integral_ei(x: float, budget: AccuracyBudget = DEFAULT_BUDGET) -> float:
+def exp_integral_ei(x: float) -> float:
     """Ei(x) on the negative real axis, via Ei(-t) = -E1(t) for t > 0."""
     if not (math.isfinite(x) and x < 0.0):
         raise ValueError(f"exp_integral_ei is defined here for x < 0 only, got {x}")
-    return -exp1(-x, budget)
+    return -exp1(-x)

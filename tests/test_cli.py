@@ -1,5 +1,9 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -385,3 +389,23 @@ def test_stdout_output(capsys):
     )
     assert code == 0
     assert CSV_HEADER in captured.out
+
+
+def freeze_count_after(statement):
+    """gc.get_freeze_count() after `statement` in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = f"import gc\n{statement}\nprint(gc.get_freeze_count())"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return int(done.stdout)
+
+
+def test_cli_import_freezes_the_imported_heap():
+    assert freeze_count_after("import rts_secrecy.cli") > 0
+
+
+def test_library_import_leaves_the_heap_unfrozen():
+    assert freeze_count_after("import rts_secrecy") == 0

@@ -12,7 +12,6 @@ from rts_secrecy.params import KnowledgeMode, Metric, Scheme, SystemParams
 from rts_secrecy.simulator import (
     ChannelRealization,
     MetricEstimate,
-    estimate_metric,
     outage_indicators,
     realization_from_uniforms,
     sample_realization,
@@ -574,13 +573,6 @@ def test_perfect_backhaul_modes_identical():
     a = simulate_point(p, Scheme.RTS, AVAIL, 20_000, seed=2)
     b = simulate_point(p, Scheme.RTS, UNAVAIL, 20_000, seed=2)
     assert a == b
-
-
-def test_estimate_metric_consistent_with_simulate_point():
-    p = params()
-    est = estimate_metric(p, Scheme.RTS, AVAIL, Metric.SOP, 8_000, seed=4)
-    both = simulate_point(p, Scheme.RTS, AVAIL, 8_000, seed=4)
-    assert est == both[Metric.SOP]
 
 
 def test_std_err_is_binomial():
