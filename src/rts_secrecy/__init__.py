@@ -14,7 +14,6 @@ from .analytics import (
     oracle,
     sop_closed_form,
     sop_oracle,
-    validate_grid,
     validate_point,
     write_validation_report,
 )
@@ -25,7 +24,6 @@ from .params import (
     Scheme,
     SystemParams,
     db_to_linear,
-    linear_to_db,
     secrecy_rate,
 )
 from .simulator import (
@@ -61,7 +59,6 @@ __all__ = [
     "closed_form",
     "db_to_linear",
     "documented_series_deviation",
-    "linear_to_db",
     "nzr_closed_form",
     "nzr_oracle",
     "oracle",
@@ -77,7 +74,6 @@ __all__ = [
     "trial_outcomes",
     "trial_stride",
     "uniform_block",
-    "validate_grid",
     "validate_point",
     "write_validation_report",
 ]

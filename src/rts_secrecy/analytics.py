@@ -11,7 +11,7 @@ The oracle is the ground truth this package trusts.  The series
 forms reproduce a published derivation path term by term; cross-validation
 shows several of them disagree with the defining integrals outside narrow
 parameter ranges (see DOCUMENTED_SERIES_DEVIATIONS), so their outputs are
-flagged rather than silently clamped, and `validate_grid` classifies every
+flagged rather than silently clamped, and `validate_point` classifies every
 comparison as MATCH / MISMATCH / OUT_OF_RANGE.
 """
 from __future__ import annotations
@@ -571,34 +571,6 @@ def validate_point(p: SystemParams, snr_db: float, tol: float = MATCH_TOL) -> li
                     note=note,
                 )
             )
-    return rows
-
-
-def validate_grid(
-    ks: Sequence[int],
-    deltas: Sequence[float],
-    snrs_db: Sequence[float],
-    lambda_e_db: float = 8.0,
-    sigma_d_db: float = 1.0,
-    sigma_e_db: float = 10.0,
-    r_th: float = 1.0,
-    tol: float = MATCH_TOL,
-) -> list[ValidationRow]:
-    """Series-vs-oracle verdicts over the cartesian parameter grid."""
-    rows: list[ValidationRow] = []
-    for k in ks:
-        for delta in deltas:
-            for snr_db in snrs_db:
-                p = SystemParams.from_db(
-                    k=k,
-                    delta=delta,
-                    snr_db=snr_db,
-                    lambda_e_db=lambda_e_db,
-                    sigma_d_db=sigma_d_db,
-                    sigma_e_db=sigma_e_db,
-                    r_th=r_th,
-                )
-                rows.extend(validate_point(p, snr_db, tol))
     return rows
 
 

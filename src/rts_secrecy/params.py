@@ -46,12 +46,6 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError("dB conversion needs a positive linear value")
-    return 10.0 * math.log10(x)
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Static description of one operating point.

@@ -24,10 +24,16 @@ from .params import KnowledgeMode, Metric, Scheme, SystemParams, secrecy_rate
 DEFAULT_BLOCK = 1 << 14
 _WORDS_PER_COUNTER_STEP = 4
 _PIECE_WORDS = 1 << 15  # values per piece when a block's gains are transposed
-# rts and tts picks made on unit gains are shared across these lambdas (see
-# `_certified_choose`); outside them every point selects on its own gains
+# rts and tts picks made on unit gains, and optimal picks, are shared across
+# these lambdas (and noise powers); outside them every point selects on its
+# own gains (see `_certified_choose` and `_ratio_top`)
 _SAFE_LAMBDA = (1e-100, 1e100)
 _MARGIN = 1.0 + 2.0**-49  # 1 + 16u, u = 2^-53: certifies a unit-gain pick
+_RATIO_MARGIN = 1.0 + 2.0**-30  # certifies an optimal pick along the lambda_d axis
+_LOG2_ERROR = 2.0**-40  # assumed bound on |numpy log2(x) - log2(x)|, x a positive normal
+# bisect a run of the optimal rule's SNR axis while its inner points would re-select
+# more than block / _ANCHOR_COST trials in all (2 to 16 time alike on the compare grid)
+_ANCHOR_COST = 2
 
 
 def trial_stride(k: int) -> int:
@@ -209,18 +215,16 @@ def _choose(
     g_e: np.ndarray,
     zero: np.ndarray | None,
     penalty: np.ndarray | None,
-    e_snr: np.ndarray | None = None,
 ) -> np.ndarray:
     """Selected transmitter per trial from (k, trials) gains; ties go to the lowest index.
 
     `zero` is `_zeros(g_e)`.  `penalty` is None without gate knowledge; with
     it dead transmitters score -inf, and when every gate is down the pick is
-    index 0, which is dead and so never counts as live.  `e_snr` is the
-    optimal rule's denominator 1 + g_e / sigma_e, computed here when None.
+    index 0, which is dead and so never counts as live.
     """
     if scheme is Scheme.RTS:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score = g_d / g_e
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            score = g_d / g_e  # an overflow scores +inf and ties, as in `_score`
         if zero is not None:
             score[zero] = np.inf  # as in `_score`, 0/0 included
     elif scheme is Scheme.TTS:
@@ -228,9 +232,7 @@ def _choose(
     elif scheme is Scheme.MIN_ES:
         score = -g_e
     else:
-        if e_snr is None:
-            e_snr = 1.0 + g_e / p.sigma_e
-        score = np.maximum(np.log2((1.0 + g_d / p.sigma_d) / e_snr), 0.0)
+        score = np.maximum(np.log2((1.0 + g_d / p.sigma_d) / (1.0 + g_e / p.sigma_e)), 0.0)
     return _first_argmax(score, penalty)
 
 
@@ -247,14 +249,34 @@ def _selected_link(
     return raw, active.take(pick)
 
 
-def _gather(sel: np.ndarray, e_d: np.ndarray, e_e: np.ndarray, cols: np.ndarray) -> tuple:
-    """(flat index, e_d, e_e) of the selected link per trial; `cols` is arange(trials).
+class _Selection:
+    """One pick per trial shared by several points, and what they read of the picked link.
 
-    A point scales the gathered unit gains by its own 1/lambda, which is
-    bit for bit the gather of its scaled gains.
+    The unit gains of the picked link are gathered once (a point scales
+    them by its own 1/lambda, which is bit for bit the gather of its scaled
+    gains), and the rate denominator 1 + e_e / lambda_e / sigma_e and the
+    picked gate states are made once per (lambda_e, sigma_e) and per delta.
+    `moved` marks the trials whose clamp fallback (see `_anchored_plan`) is
+    another link than the pick; None where the pick is exact.
     """
-    pick = sel * cols.size + cols
-    return pick, e_d.take(pick), e_e.take(pick)
+
+    def __init__(self, sel: np.ndarray, e_d: np.ndarray, e_e: np.ndarray, fallback: np.ndarray | int | None = None):
+        self.pick = np.asarray(sel, dtype=np.intp) * sel.size + np.arange(sel.size)  # flat [sel, trial]
+        self.e_d, self.e_e = e_d.take(self.pick), e_e.take(self.pick)
+        self.moved = None if fallback is None else sel != fallback
+        self._dens: dict[tuple[float, float], np.ndarray] = {}
+        self._lives: dict[float, np.ndarray] = {}
+
+    def den(self, p: SystemParams) -> np.ndarray:
+        key = p.lambda_e, p.sigma_e
+        if key not in self._dens:
+            self._dens[key] = 1.0 + self.e_e / p.lambda_e / p.sigma_e
+        return self._dens[key]
+
+    def live(self, delta: float, active: np.ndarray) -> np.ndarray:
+        if delta not in self._lives:
+            self._lives[delta] = active.take(self.pick)
+        return self._lives[delta]
 
 
 def _certified_choose(
@@ -304,6 +326,97 @@ def _certified_choose(
         top = score.max(axis=0)
     near = np.count_nonzero(score * _MARGIN >= top, axis=0)  # the top row counts itself
     return _first_argmax(score), np.flatnonzero((near > 1) & (top > -np.inf))
+
+
+def _inverse_snr(e_e: np.ndarray, p: SystemParams, penalty: np.ndarray | None) -> np.ndarray:
+    """1 / (1 + e_e / lambda_e / sigma_e) of a point, -inf on dead links under `penalty`."""
+    inv = 1.0 / (1.0 + e_e / p.lambda_e / p.sigma_e)
+    if penalty is not None:
+        inv += penalty
+    return inv
+
+
+def _ratio_top(
+    e_d: np.ndarray, lambda_d: float, sigma_d: float, inv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The optimal rule's unclamped rate ratio at one lambda_d: (top, unique, clamped) per trial.
+
+    `inv` is `_inverse_snr` of the point; `top` (uint8) is the first live
+    link within the margin below of the largest ratio, `unique` says no
+    other live link is within it, and `clamped` that every live ratio lies
+    below 1 by it (all-dead trials included).
+
+    The exact ratio of a link is R = (1 + a e_d) / c, with
+    a = 1 / (lambda_d sigma_d) and c = 1 + e_e / (lambda_e sigma_e).  Here it
+    is computed as X = fl(fl(1 + fl(e_d fl(1 / fl(lambda_d sigma_d)))) fl(1 / c)),
+    and `_choose` and the engine compute X' = fl(N / D) with
+    N = fl(1 + fl(fl(e_d / lambda_d) / sigma_d)), D = fl(1 + fl(fl(e_e / lambda_e) / sigma_e)).
+    With u = 2^-53 and the four lambdas and noise powers in `_SAFE_LAMBDA`,
+    nothing overflows and an underflow costs at most 1e-220 against the 1
+    it is added to, so X = R (1 + eta) with |eta| < 9.1u, and X' with
+    |eta| < 7.1u.  `unique`: every other live X lies below
+    fl(X_top / _RATIO_MARGIN), so R_top > R (1 + m) with m = 2^-30 - 20u.
+    `clamped`: fl(X_top * _RATIO_MARGIN) < 1, so every live R < 1 / (1 + m).
+
+    R is affine and non-decreasing in a.  So R_top - (1 + m) R > 0 at two
+    lambda_d holds at every lambda_d between them, where X'_top > X' (1 + 2^-31)
+    and log2 X'_top - log2 X' > 2^-31; and R < 1 / (1 + m) at one lambda_d
+    holds at every larger one, where log2 X' < -2^-31.  numpy's log2 keeps
+    both strict while its error stays below _LOG2_ERROR = 2^-40 (one ulp of
+    a result below 1024 in magnitude is at most 2^-43; the tests check the
+    bound).  Hence where the top link's computed rate is positive `_choose`
+    picks it, and where it is <= 0, or every rate is clamped, every
+    candidate scores 0 and `_choose` picks the first candidate.
+    """
+    k = e_d.shape[0]
+    ratio = e_d * (1.0 / (lambda_d * sigma_d))
+    ratio += 1.0
+    ratio *= inv
+    best = ratio.max(axis=0)
+    near = (ratio >= best / _RATIO_MARGIN).view(np.uint8)  # the top row counts itself
+    unique = near.sum(axis=0, dtype=np.uint8) == 1
+    near *= np.arange(k, 0, -1, dtype=np.uint8)[:, None]
+    return k - near.max(axis=0), unique, best * _RATIO_MARGIN < 1.0
+
+
+def _anchored_plan(
+    e_d: np.ndarray, lambdas: list[float], sigma_d: float, inv: np.ndarray, fallback: np.ndarray | int
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Per position of a lambda_d axis sorted upward: (anchor, its picks, trials to re-select).
+
+    Anchors are `_ratio_top` at one position, and `fallback` is the pick where
+    every candidate's clamped score is 0: the first live link, or 0.  An
+    anchor picks its unique top link, or the fallback where it is clamped,
+    and re-selects the other trials.  The two ends are anchors.  Between two
+    anchors a < b the lower anchor's picks hold for the trials with one
+    unique top link at both, or clamped at a (the higher SNR); the rest are
+    re-selected at every inner position.  A run is bisected while that
+    share, times its inner positions and _ANCHOR_COST, exceeds one block.
+    """
+    size = len(lambdas)
+    tops = {t: _ratio_top(e_d, lambdas[t], sigma_d, inv) for t in {0, size - 1}}
+    runs = [(0, size - 1)] if size > 2 else []
+    redo = {}
+    while runs:
+        a, b = runs.pop()
+        (top_a, unique_a, clamped_a), (top_b, unique_b, _) = tops[a], tops[b]
+        miss = np.flatnonzero(~((unique_a & unique_b & (top_a == top_b)) | clamped_a))
+        if (b - a - 1) * miss.size * _ANCHOR_COST > top_a.size:
+            mid = (a + b) // 2
+            tops[mid] = _ratio_top(e_d, lambdas[mid], sigma_d, inv)
+            runs += [run for run in ((a, mid), (mid, b)) if run[1] - run[0] > 1]
+        else:
+            redo[a] = miss
+    plan = []
+    for t in range(size):
+        if t in tops:
+            anchor = t
+            top_t, unique, clamped = tops[t]
+            sel = np.where(clamped, fallback, top_t)
+            plan.append((t, sel, np.flatnonzero(~(unique | clamped))))
+        else:
+            plan.append((anchor, sel, redo[anchor]))
+    return plan
 
 
 def _block_outcomes(
@@ -389,8 +502,11 @@ def _selection_key(p: SystemParams, scheme: Scheme, mode: KnowledgeMode) -> tupl
     while the lambdas they read lie in `_SAFE_LAMBDA` their key holds no
     lambda (None), and the engine picks once on the unit gains, certified
     per trial by a relative margin (`_certified_choose`); each point
-    re-selects the trials that fail it on its own scaled gains.  Other keys
-    share only bit-identical scores: outside that range rounding
+    re-selects the trials that fail it on its own scaled gains.  The optimal
+    rule's key holds None for lambda_d while its lambdas and noise powers
+    lie in that range: its points share picks along the lambda_d axis,
+    certified at anchor lambda_d (`_ratio_top`, `_anchored_plan`).  Other
+    keys share only bit-identical scores: outside that range rounding
     E_d / lambda_d could turn a strict order into a tie and move the
     lowest-index argmax.
     """
@@ -401,8 +517,11 @@ def _selection_key(p: SystemParams, scheme: Scheme, mode: KnowledgeMode) -> tupl
         Scheme.OPTIMAL: (p.lambda_d, p.lambda_e, p.sigma_d, p.sigma_e),
     }[scheme]
     low, high = _SAFE_LAMBDA
-    if scheme in (Scheme.RTS, Scheme.TTS) and all(low <= lam <= high for lam in reads):
-        reads = None
+    if all(low <= x <= high for x in reads):
+        if scheme in (Scheme.RTS, Scheme.TTS):
+            reads = None
+        elif scheme is Scheme.OPTIMAL:
+            reads = (None, *reads[1:])
     gate = p.delta if mode is KnowledgeMode.AVAILABLE else None
     return scheme, mode, reads, gate
 
@@ -427,85 +546,87 @@ def simulate_grid(
     All points must share k, so they read one stream (seed, k), which is
     walked once.  Per block the uniforms are generated once, mapped to
     unit-mean exponential gains once per side and to a gate mask and score
-    penalty once per distinct delta, all in (k, block) layout, and the
-    optimal rule's 1 + g_e / sigma_e once per (lambda_e, sigma_e).  Points
-    with equal `_selection_key` share one selection and its gathered unit
-    gains; each point adds only its 1/lambda scaling of those, its gate
-    states and its hit counts.  Scaled gains are made only for the points
-    that select on them.  Memory is O(block) whatever `trials` and the
-    number of points, and every estimate equals `simulate_point` on that
-    point alone, at any block size.
+    penalty once per distinct delta, all in (k, block) layout.  Points
+    with equal `_selection_key` share one selection (`_Selection`); an
+    optimal key shares its anchors' picks along its lambda_d axis.  Each
+    point adds only its rate numerator, its re-selection of the trials its
+    shared pick does not certify, and its hit counts.  Memory is O(block)
+    whatever `trials` and the number of points, and every estimate equals
+    `simulate_point` on that point alone, at any block size.
     """
     _check_run(trials, block)
     ks = {p.k for p, _, _ in points}
     if len(ks) != 1:
         raise ValueError(f"points must share one k, got {sorted(ks)}")
     (k,) = ks
-    # grouped by lambda_d so that one scaled g_d is alive at a time
+    # sorted by lambda_d: an optimal key walks its axis upward
     order = sorted(range(len(points)), key=lambda i: points[i][0].lambda_d)
     keys = [_selection_key(*point) for point in points]
     last_use = {keys[i]: i for i in order}
+    axes: dict[tuple, dict[float, int]] = {}  # an anchored key's sorted lambda_d -> position
+    for i in order:
+        if keys[i][0] is Scheme.OPTIMAL and keys[i][2][0] is None:
+            axis = axes.setdefault(keys[i], {})
+            axis.setdefault(points[i][0].lambda_d, len(axis))
+    deltas = {p.delta for p, _, _ in points}
     nzr_hits = [0] * len(points)
     sop_hits = [0] * len(points)
+    no_redo = np.empty(0, dtype=np.intp)
     for start in range(0, trials, block):
         count = min(block, trials - start)
         u = uniform_block(seed, k, start, count)
         e_d, e_e = _unit_gains(u, k)
-        cols = np.arange(count)
+        gates = {delta: _gates(u, k, delta) for delta in deltas}
+        del u  # the largest array of a block, not needed past this point
+        penalties = {delta: _penalty(active) for delta, active in gates.items()}
         unit_zero = _zeros(e_e)
-        gates: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        g_ds: dict[float, np.ndarray] = {}
-        scaled_e: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
-        e_snrs: dict[tuple[float, float], np.ndarray] = {}
         chosen: dict[tuple, tuple] = {}
-
-        def scaled(p: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-            """(g_d, g_e, `_zeros(g_e)`) of a point, made on first use."""
-            if p.lambda_d not in g_ds:
-                g_ds.clear()  # points come grouped by lambda_d
-                g_ds[p.lambda_d] = e_d / p.lambda_d
-            if p.lambda_e not in scaled_e:
-                g_e = e_e / p.lambda_e
-                scaled_e[p.lambda_e] = g_e, _zeros(g_e)
-            return (g_ds[p.lambda_d], *scaled_e[p.lambda_e])
-
         for i in order:
             p, scheme, mode = points[i]
-            if p.delta not in gates:
-                active = _gates(u, k, p.delta)
-                gates[p.delta] = active, _penalty(active)
-            active, penalty = gates[p.delta]
-            if mode is KnowledgeMode.UNAVAILABLE:
-                penalty = None
+            active = gates[p.delta]
+            penalty = penalties[p.delta] if mode is KnowledgeMode.AVAILABLE else None
             key = keys[i]
             if key not in chosen:
-                if key[2] is None:  # scale-free rule: one pick on the unit gains
+                if key in axes:  # optimal: picks certified at anchor lambda_d
+                    fallback = 0 if penalty is None else active.argmax(axis=0).astype(np.uint8)
+                    inv = _inverse_snr(e_e, p, penalty)
+                    chosen[key] = _anchored_plan(e_d, list(axes[key]), p.sigma_d, inv, fallback), fallback, {}
+                    del inv  # (k, block), not needed past the anchors
+                elif key[2] is None:  # scale-free rule: one pick on the unit gains
                     sel, redo = _certified_choose(scheme, e_d, e_e, unit_zero, penalty)
-                else:
-                    g_d, g_e, zero = scaled(p)
-                    e_key = p.lambda_e, p.sigma_e
-                    if scheme is Scheme.OPTIMAL and e_key not in e_snrs:
-                        e_snrs[e_key] = 1.0 + g_e / p.sigma_e
-                    sel, redo = _choose(p, scheme, g_d, g_e, zero, penalty, e_snrs.get(e_key)), cols[:0]
-                chosen[key] = (sel, redo, None) if redo.size else (None, None, _gather(sel, e_d, e_e, cols))
-            sel, redo, gathered = chosen.pop(key) if last_use[key] == i else chosen[key]
-            if gathered is None:  # trials the unit pick does not certify: this point's own pick
-                g_d, g_e, zero = scaled(p)
-                sel = sel.copy()
-                sel[redo] = _choose(
-                    p,
-                    scheme,
-                    g_d[:, redo],
-                    g_e[:, redo],
-                    None if zero is None else zero[:, redo],
-                    None if penalty is None else penalty[:, redo],
-                )
-                gathered = _gather(sel, e_d, e_e, cols)
-            pick, sel_d, sel_e = gathered
-            raw = np.log2((1.0 + sel_d / p.lambda_d / p.sigma_d) / (1.0 + sel_e / p.lambda_e / p.sigma_e))
-            live = active.take(pick)
+                    chosen[key] = _Selection(sel, e_d, e_e), redo
+                else:  # min-es, and lambdas outside the safe range: the point's own scaled gains
+                    g_e = e_e / p.lambda_e
+                    sel = _choose(p, scheme, e_d / p.lambda_d, g_e, _zeros(g_e), penalty)
+                    chosen[key] = _Selection(sel, e_d, e_e), no_redo
+            entry = chosen.pop(key) if last_use[key] == i else chosen[key]
+            if key in axes:
+                plan, fallback, built = entry
+                anchor, sel, redo = plan[axes[key][p.lambda_d]]
+                if anchor not in built:
+                    built.clear()  # points come in lambda_d order: earlier anchors are done
+                    built[anchor] = _Selection(sel, e_d, e_e, fallback)
+                shared = built[anchor]
+            else:
+                shared, redo = entry
+            raw = np.log2((1.0 + shared.e_d / p.lambda_d / p.sigma_d) / shared.den(p))
+            live, moved = shared.live(p.delta, active), shared.moved
+            if redo.size:  # trials the shared pick does not certify: this point's own pick
+                g_d, g_e = e_d[:, redo] / p.lambda_d, e_e[:, redo] / p.lambda_e
+                own = _choose(p, scheme, g_d, g_e, _zeros(g_e), None if penalty is None else penalty[:, redo])
+                at = own * count + redo
+                num = 1.0 + e_d.take(at) / p.lambda_d / p.sigma_d
+                raw[redo] = np.log2(num / (1.0 + e_e.take(at) / p.lambda_e / p.sigma_e))
+                live = live.copy()
+                live[redo] = active.take(at)
+                if moved is not None:
+                    moved = moved.copy()
+                    moved[redo] = False
             nzr_hits[i] += int(np.count_nonzero(live & (raw > 0.0)))
             sop_hits[i] += int(np.count_nonzero(~live | (raw < p.r_th)))
+            if moved is not None and p.r_th == 0.0:  # at a shared rate of exactly 0 the clamp picks
+                # the fallback link, whose rate is below 0: an outage
+                sop_hits[i] += int(np.count_nonzero(live & moved & (raw == 0.0)))
     return [
         _estimates(nzr, sop, trials, seed) for nzr, sop in zip(nzr_hits, sop_hits)
     ]

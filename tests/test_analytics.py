@@ -27,7 +27,6 @@ from rts_secrecy.analytics import (
     sop_closed_form,
     sop_oracle,
     summarize_validation,
-    validate_grid,
     validate_point,
     write_validation_report,
 )
@@ -547,8 +546,19 @@ def test_validate_point_rows_and_documentation():
     assert all(r.documented for r in rows)
 
 
+def _validate_cells(ks, deltas, snrs_db):
+    """`validate_point` rows over the cartesian grid, in (k, delta, snr) order."""
+    return [
+        row
+        for k in ks
+        for delta in deltas
+        for snr_db in snrs_db
+        for row in validate_point(SystemParams.from_db(k=k, delta=delta, snr_db=snr_db), snr_db)
+    ]
+
+
 def test_validate_grid_shape_and_no_undocumented():
-    rows = validate_grid(ks=[1, 2, 3], deltas=[0.5], snrs_db=[10.0, 30.0])
+    rows = _validate_cells(ks=[1, 2, 3], deltas=[0.5], snrs_db=[10.0, 30.0])
     assert len(rows) == 3 * 1 * 2 * 4
     counts = summarize_validation(rows)
     assert counts["UNDOCUMENTED"] == 0
@@ -557,7 +567,7 @@ def test_validate_grid_shape_and_no_undocumented():
 
 
 def test_validation_report_format():
-    rows = validate_grid(ks=[1], deltas=[0.5], snrs_db=[10.0])
+    rows = _validate_cells(ks=[1], deltas=[0.5], snrs_db=[10.0])
     buf = io.StringIO()
     write_validation_report(rows, buf)
     text = buf.getvalue()
@@ -569,7 +579,7 @@ def test_validation_report_format():
 
 
 def test_match_rows_meet_tolerance_against_oracle():
-    rows = validate_grid(ks=[1, 2, 4], deltas=[0.2, 0.9], snrs_db=[10.0, 50.0])
+    rows = _validate_cells(ks=[1, 2, 4], deltas=[0.2, 0.9], snrs_db=[10.0, 50.0])
     for row in rows:
         if row.verdict == VERDICT_MATCH:
             assert row.abs_diff <= MATCH_TOL

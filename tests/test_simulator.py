@@ -1,5 +1,10 @@
+import csv
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,26 +421,226 @@ def test_extreme_lambdas_select_on_their_own_gains():
             extreme |= p.lambda_e > 1e100 or p.lambda_e < 1e-100
         if scheme in (Scheme.RTS, Scheme.TTS):
             assert (simulator._selection_key(p, scheme, mode)[2] is None) is not extreme
+        if scheme is Scheme.OPTIMAL:  # shared along lambda_d only while both lambdas are in range
+            extreme |= p.lambda_e > 1e100 or p.lambda_e < 1e-100
+            assert (simulator._selection_key(p, scheme, mode)[2][0] is None) is not extreme
     u = uniform_block(seed=1, k=3, start=0, count=400)
     _assert_engine_is_reference(points, u)
 
 
+def test_overflowed_ratios_tie_at_inf_and_go_to_the_lowest_index(tmp_path):
+    """At snr 3000 dB and lambda_e -3000 dB every rts ratio overflows to +inf, silently.
+
+    The +inf scores tie and resolve to link 0, as the scalar `select` does.
+    """
+    out = tmp_path / "sweep.csv"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "rts_secrecy.cli", "sweep", "--k", "3", "--delta", "1", "--snr-db", "3000",
+         "--lambda-e-db=-3000", "--trials", "1000", "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    p = params(k=3, delta=1.0, snr_db=3000.0, lambda_e_db=-3000.0)
+    u = uniform_block(seed=1, k=3, start=0, count=1000)
+    e_d, e_e = simulator._unit_gains(u, 3)
+    g_d, g_e = e_d / p.lambda_d, e_e / p.lambda_e
+    with np.errstate(over="ignore"):
+        assert np.isinf(g_d / g_e).all()
+    sel = simulator._choose(p, Scheme.RTS, g_d, g_e, simulator._zeros(g_e), None)
+    reals = [ChannelRealization(tuple(d), tuple(e), (True,) * 3) for d, e in zip(g_d.T.tolist(), g_e.T.tolist())]
+    assert sel.tolist() == [select(p, Scheme.RTS, UNAVAIL, real).selected for real in reals]
+    with open(out, encoding="utf-8") as handle:
+        rows = list(csv.DictReader(line for line in handle if not line.startswith("#")))
+    for row in rows:
+        nzr, sop = _select_hits(p, Scheme.RTS, KnowledgeMode(row["mode"]), u)
+        assert float(row["simulated"]) == (nzr if row["metric"] == "nzr" else sop) / u.shape[0]
+
+
+# --- optimal picks shared along the SNR axis ---------------------------------
+
+
+def test_numpy_log2_stays_within_the_assumed_error():
+    """`_ratio_top` assumes |np.log2(x) - log2(x)| <= 2^-40; math.log2 is the referee.
+
+    Also checked: a value's log2 does not depend on the array it sits in,
+    which the engine relies on when it logs a few re-selected trials apart.
+    """
+    rng = np.random.default_rng(7)
+    x = np.concatenate([
+        2.0 ** rng.uniform(-1022.0, 1023.0, 20_000),  # the whole normal range
+        rng.uniform(0.5, 2.0, 20_000),  # rate ratios near the clamp
+        1.0 + np.arange(-64, 65) * 2.0**-52,  # within ulps of 1
+    ])
+    got = np.log2(x)
+    ref = np.array([math.log2(v) for v in x])
+    assert np.max(np.abs(got - ref)) <= simulator._LOG2_ERROR / 2
+    picks = rng.integers(0, x.size, 500)
+    assert all(np.log2(x[i : i + 1])[0] == got[i] for i in picks)
+    assert np.array_equal(np.log2(x[picks]), got[picks])
+
+
+def _ratio_rows(seed=5, bulk=400):
+    """Uniform rows (k = 3) for the optimal rule: ties, near-ties and ratios at 1, among ordinary rows.
+
+    Forged pairs of links 0 and 1: identical links (an exact tie at every
+    SNR); equal e_e with e_d 1-4 ulps apart; link 1 with e_d == e_e, a rate
+    ratio of exactly 1 where lambda_d sigma_d == lambda_e sigma_e, or with
+    its uniforms 1-2 grid steps apart (just either side of 1), beside a link
+    0 whose ratio is below 1; and links whose order crosses along the SNR
+    axis.  Link 2 is weak.  Each pair comes with every gate pattern at
+    delta = 0.5: all up, link 0 dead, link 1 the single live link, all dead.
+    The `bulk` ordinary rows keep the share of uncertified trials small, so
+    that points between anchors keep their anchor's picks and re-select the
+    forged trials on their own.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(lo, hi):
+        return int(rng.integers(round(lo / _U_STEP), round(hi / _U_STEP))) * _U_STEP
+
+    pairs = []
+    for _ in range(3):
+        u_d, u_e = draw(0.05, 0.95), draw(0.05, 0.95)
+        pairs.append(((u_d, u_d), (u_e, u_e)))
+        for gap in (-4, -3, -2, -1, 1, 2, 3, 4):
+            u_d1 = _nudged(u_d, _gain, _gain(u_d), gap)
+            if u_d1 is not None:
+                pairs.append(((u_d, u_d1), (u_e, u_e)))
+        u = draw(0.3, 0.7)
+        for step in (-2, -1, 0, 1, 2):
+            pairs.append(((draw(0.01, 0.1), u + step * _U_STEP), (draw(0.6, 0.9), u)))
+        pairs.append(((draw(0.9, 0.99), draw(0.2, 0.4)), (draw(0.8, 0.95), draw(0.01, 0.1))))
+    gate_patterns = [(0.1, 0.1, 0.1), (0.9, 0.1, 0.1), (0.9, 0.1, 0.9), (0.9, 0.9, 0.9)]
+    forged = [[*u_d, 0.02, *u_e, 0.97, *gates] for u_d, u_e in pairs for gates in gate_patterns]
+    return np.concatenate([np.array(forged), uniform_block(seed=seed, k=3, start=0, count=bulk)])
+
+
+def _ratio_grid(snrs=(-30.0, 0.0, 4.0, 8.0, 12.0, 20.0, 35.0, 50.0, 80.0)):
+    """Optimal points along an SNR axis; at 8 dB with equal noise powers lambda_d == lambda_e."""
+    return [
+        (params(k=3, delta=delta, snr_db=snr, sigma_d_db=sigma_d, sigma_e_db=10.0, r_th=r_th), Scheme.OPTIMAL, mode)
+        for snr in snrs
+        for delta in (0.5, 1.0)
+        for sigma_d in (1.0, 10.0)
+        for r_th in (0.0, 1.0)
+        for mode in KnowledgeMode
+    ]
+
+
+def test_engine_matches_select_on_forged_rate_ratios(monkeypatch):
+    u = _ratio_rows()
+    p = params(k=3, snr_db=8.0, sigma_d_db=10.0, sigma_e_db=10.0)
+    assert (p.lambda_d, p.sigma_d) == (p.lambda_e, p.sigma_e)  # the ratio-1 rows read exactly 1 here
+    _patch_stream(monkeypatch, u)
+    _assert_engine_is_reference(_ratio_grid(), u)
+    for t in range(0, 4 * 45, 3):  # one forged trial alone: a one-column block
+        _patch_stream(monkeypatch, u[t : t + 1])
+        _assert_engine_is_reference(_ratio_grid(snrs=(0.0, 8.0, 20.0, 50.0)), u[t : t + 1])
+
+
+def test_anchored_plan_shares_and_re_selects_on_forged_rows():
+    """The forged rows reach every branch: anchors, shared runs, re-selection and the clamp."""
+    u = _ratio_rows()
+    e_d, e_e = simulator._unit_gains(u, 3)
+    grid = _ratio_grid()
+    p = grid[0][0]
+    lambdas = sorted({q.lambda_d for q, _, _ in grid})
+    plan = simulator._anchored_plan(e_d, lambdas, p.sigma_d, simulator._inverse_snr(e_e, p, None), 0)
+    anchors = {anchor for anchor, _, _ in plan}
+    inner = [redo.size for t, (anchor, _, redo) in enumerate(plan) if t != anchor]
+    assert 2 <= len(anchors) < len(lambdas)
+    assert inner and all(0 < size < u.shape[0] for size in inner)
+    inv = simulator._inverse_snr(e_e, p, None)
+    _, unique, clamped = simulator._ratio_top(e_d, lambdas[0], p.sigma_d, inv)  # 80 dB
+    assert (unique & ~clamped).any() and not unique.all()
+    assert simulator._ratio_top(e_d, lambdas[-1], p.sigma_d, inv)[2].any()  # -30 dB
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 5),
+    gains=st.lists(st.tuples(_UNIT_GAINS, _UNIT_GAINS), min_size=5, max_size=5),
+    gaps=st.lists(st.integers(-4, 4), max_size=4),
+    dead=st.sampled_from([0.0, 0.4, 1.0]),
+    lambda_ds=st.lists(_SAFE_LAMBDAS, min_size=1, max_size=8, unique=True),
+    lambda_e=_SAFE_LAMBDAS,
+    sigma_d=_SAFE_LAMBDAS,
+    sigma_e=_SAFE_LAMBDAS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_anchored_pick_is_the_per_point_pick(k, gains, gaps, dead, lambda_ds, lambda_e, sigma_d, sigma_e, seed):
+    """On the trials a position does not re-select, the shared pick is `_choose`'s, at any safe axis.
+
+    The shared pick stands where its rate is positive and the clamp
+    fallback (first live link, or 0) elsewhere, as the engine counts it.
+    In every trial link b + 1 gets link 0's e_e and its e_d moved by gaps[b]
+    ulps, so near-ties are the rule.
+    """
+    rng = np.random.default_rng(seed)
+    trials = 64
+    pool = np.array(gains)
+    idx = rng.integers(0, len(pool), size=(k, trials))
+    e_d, e_e = pool[idx, 0].copy(), pool[idx, 1].copy()
+    for b, gap in enumerate(gaps[: k - 1], start=1):
+        e_e[b] = e_e[0]
+        e_d[b] = np.clip(e_d[0] + gap * np.spacing(e_d[0]), 0.0, _E_MAX)
+    up = rng.random((k, trials)) >= dead
+    lambdas = sorted(lambda_ds)
+    points = [SystemParams(k=k, delta=0.5, lambda_d=lam, lambda_e=lambda_e, sigma_d=sigma_d, sigma_e=sigma_e)
+              for lam in lambdas]
+    for penalty in (None, simulator._penalty(up)):
+        fallback = 0 if penalty is None else up.argmax(axis=0).astype(np.uint8)
+        inv = simulator._inverse_snr(e_e, points[0], penalty)
+        plan = simulator._anchored_plan(e_d, lambdas, sigma_d, inv, fallback)
+        for p, (_, sel, redo) in zip(points, plan):
+            expected = simulator._choose(p, Scheme.OPTIMAL, e_d / p.lambda_d, e_e / p.lambda_e, None, penalty)
+            at = sel.astype(np.intp) * trials + np.arange(trials)
+            num = 1.0 + e_d.take(at) / p.lambda_d / p.sigma_d
+            raw = np.log2(num / (1.0 + e_e.take(at) / p.lambda_e / p.sigma_e))
+            kept = np.ones(trials, dtype=bool)
+            kept[redo] = False
+            assert np.array_equal(np.where(raw > 0.0, sel, fallback)[kept], expected[kept])
+
+
 def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
-    """The compare defaults (k = 5, 13 SNRs, 4 schemes, available) make 16 selections a block, not 40."""
-    calls = {"select": 0, "redo": 0}
-    first_argmax, certified_choose = simulator._first_argmax, simulator._certified_choose
+    """The compare defaults (k = 5, 13 SNRs, 4 schemes, available) make 7 full-width selections a block, not 40.
 
-    def counting_first_argmax(*args, **kw):
-        calls["select"] += 1
-        return first_argmax(*args, **kw)
+    rts, tts and min-es one each, and 4 anchors for the optimal rule's 13
+    SNRs; its other points re-select only the trials the anchors leave.
+    """
+    calls = {"full": 0, "anchors": 0, "redo": 0, "unit_redo": 0}
+    width = {}
+    stream, certified_choose = simulator.uniform_block, simulator._certified_choose
+    choose, ratio_top = simulator._choose, simulator._ratio_top
 
-    def counting_certified_choose(*args, **kw):
-        sel, redo = certified_choose(*args, **kw)
-        calls["redo"] += redo.size
+    def counting_stream(seed, k, start, count):
+        width["block"] = count
+        return stream(seed, k, start, count)
+
+    def counting_certified_choose(scheme, e_d, *args):
+        sel, redo = certified_choose(scheme, e_d, *args)
+        calls["full"] += e_d.shape[1] == width["block"]
+        calls["unit_redo"] += redo.size
         return sel, redo
 
-    monkeypatch.setattr(simulator, "_first_argmax", counting_first_argmax)
+    def counting_choose(p, scheme, g_d, *args):
+        if g_d.shape[1] == width["block"]:
+            calls["full"] += 1
+        else:
+            calls["redo"] += g_d.shape[1]
+        return choose(p, scheme, g_d, *args)
+
+    def counting_ratio_top(e_d, *args):
+        calls["anchors"] += 1
+        calls["full"] += e_d.shape[1] == width["block"]
+        return ratio_top(e_d, *args)
+
+    monkeypatch.setattr(simulator, "uniform_block", counting_stream)
     monkeypatch.setattr(simulator, "_certified_choose", counting_certified_choose)
+    monkeypatch.setattr(simulator, "_choose", counting_choose)
+    monkeypatch.setattr(simulator, "_ratio_top", counting_ratio_top)
     points = [
         (params(k=5, delta=0.9, snr_db=float(snr)), scheme, AVAIL)
         for snr in range(0, 61, 5)
@@ -444,8 +649,8 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
     trials = 200_000
     simulate_grid(points, trials, seed=1)
     blocks = -(-trials // simulator.DEFAULT_BLOCK)
-    # rts 1, tts 1, min-es 1 and optimal 13, against 13 + 13 + 1 + 13 per lambda
-    assert calls == {"select": 16 * blocks, "redo": 0}
+    # rts 1, tts 1, min-es 1 and optimal 4 anchors, against 13 + 13 + 1 + 13 per lambda
+    assert calls == {"full": 7 * blocks, "anchors": 4 * blocks, "redo": 62_440, "unit_redo": 0}
 
 
 # --- scalar selection --------------------------------------------------------
