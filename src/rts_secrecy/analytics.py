@@ -29,7 +29,6 @@ from .params import KnowledgeMode, Metric, SystemParams
 from .specfun import (
     binomial,
     exp_integral_ei,
-    lower_incomplete_gamma,
     upper_incomplete_gamma,
 )
 
@@ -280,75 +279,28 @@ def nzr_closed_form(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
     return _flag_range(MetricValue(Metric.NZR, mode, value, "series"))
 
 
-@dataclass(frozen=True)
-class SopSeriesVariant:
-    """Reading choices for ambiguous pieces of the outage series.
+def _sop_series_bracket(n: int, p: SystemParams, mode: KnowledgeMode, upper: Callable[[int], float]) -> float:
+    """Per-order term of both outage series; `upper(s)` is Gamma(s, b).
 
-    Each field picks one of two algebraically plausible readings; the
-    defaults reproduce the derivation source verbatim for each knowledge
-    mode.  Cross-validation against the quadrature oracle found no
-    combination that matches the defining integral for k >= 2, so these
-    switches exist to make that adjudication reproducible, not to offer a
-    correct variant.
-
-    a_rule:          constant `a`; "same-side" = (rho+1) sigma_d lambda_d,
-                     "cross-side" = rho sigma_d lambda_d + sigma_e lambda_e.
-    gamma_rule:      the bare gamma(n+1) factor; "complete" reads n!,
-                     "truncated" reads the lower incomplete gamma at b.
-    residual_weight: coefficient of the double factorial-gamma sum;
-                     "d-linear" = sigma_d * lambda_d^(n+1) (gate-known
-                     printing), "e-power" = (sigma_e lambda_e)^(n+1)
-                     (gate-unknown printing).
-    tail_rule:       how the (-1)^n / a^(n+1) term combines with the
-                     exponential-integral block: "additive" or "product".
-    depth_rule:      inner sum bound in the gate-known form: "full" = k-1,
-                     "subset" = q-1.
+    Two pieces are printed differently in the two modes' series, and each
+    mode reads its own printing verbatim: the coefficient of the double
+    factorial-gamma sum is sigma_d lambda_d^(n+1) with gate knowledge and
+    (sigma_e lambda_e)^(n+1) without, and the (-1)^n / a^(n+1) term is added
+    to the exponential-integral block with gate knowledge and multiplies it
+    without.  No other reading tried matches the oracle for k >= 2 (README
+    "Known series defects").
     """
-
-    a_rule: str = "same-side"
-    gamma_rule: str = "complete"
-    residual_weight: str = "d-linear"
-    tail_rule: str = "additive"
-    depth_rule: str = "full"
-
-    def __post_init__(self) -> None:
-        allowed = {
-            "a_rule": ("same-side", "cross-side"),
-            "gamma_rule": ("complete", "truncated"),
-            "residual_weight": ("d-linear", "e-power"),
-            "tail_rule": ("additive", "product"),
-            "depth_rule": ("full", "subset"),
-        }
-        for field, options in allowed.items():
-            if getattr(self, field) not in options:
-                raise ValueError(f"{field} must be one of {options}")
-
-
-SOP_SERIES_AVAILABLE_DEFAULT = SopSeriesVariant()
-SOP_SERIES_UNAVAILABLE_DEFAULT = SopSeriesVariant(residual_weight="e-power", tail_rule="product")
-
-
-def _sop_series_bracket(
-    n: int, p: SystemParams, variant: SopSeriesVariant, upper: Callable[[int], float]
-) -> float:
-    """Per-order term of both outage series; `upper(s)` is Gamma(s, b)."""
+    available = mode is KnowledgeMode.AVAILABLE
     u = p.sigma_e * p.lambda_e
     v = p.sigma_d * p.lambda_d
     rho = p.rho
     b = v * (rho - 1.0)
-    a = (rho + 1.0) * v if variant.a_rule == "same-side" else rho * v + u
+    a = (rho + 1.0) * v
 
     t1 = _signed_factorial_ratio(n)
-    if variant.gamma_rule == "complete":
-        gamma_term = float(math.factorial(n))
-    else:
-        gamma_term = lower_incomplete_gamma(n + 1, b)
-    t2 = (-1.0) ** n * gamma_term / (n + 1)
+    t2 = (-1.0) ** n * float(math.factorial(n)) / (n + 1)
 
-    if variant.residual_weight == "d-linear":
-        res_coef = p.sigma_d * p.lambda_d ** (n + 1)
-    else:
-        res_coef = u ** (n + 1)
+    res_coef = p.sigma_d * p.lambda_d ** (n + 1) if available else u ** (n + 1)
     double_sum = 0.0
     for r in range(1, n + 1):
         inner = 0.0
@@ -362,7 +314,7 @@ def _sop_series_bracket(
         math.factorial(n - l) * (-b) ** l for l in range(0, n + 1)
     )
     t5 = u ** (n + 1) / math.factorial(n + 1) * ei_block
-    mid = t4 + t5 if variant.tail_rule == "additive" else t4 * t5
+    mid = t4 + t5 if available else t4 * t5
 
     t6 = (
         u ** (n + 1)
@@ -376,23 +328,13 @@ def _sop_series_bracket(
     return t1 + t2 + t3 + mid + t6 + t7
 
 
-def sop_closed_form(
-    p: SystemParams,
-    mode: KnowledgeMode,
-    variant: SopSeriesVariant | None = None,
-) -> MetricValue:
+def sop_closed_form(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
     """Series closed form of the outage probability.
 
     Exact against the oracle only at k = 1 with gate knowledge (where it
     reduces to the all-dead atom plus the single-link outage term); every
-    other cell carries a documented deviation whatever the variant.
+    other cell carries a documented deviation.
     """
-    if variant is None:
-        variant = (
-            SOP_SERIES_AVAILABLE_DEFAULT
-            if mode is KnowledgeMode.AVAILABLE
-            else SOP_SERIES_UNAVAILABLE_DEFAULT
-        )
     if p.rho == 1.0:
         return MetricValue(
             Metric.SOP, mode, math.nan, "series", False,
@@ -405,16 +347,15 @@ def sop_closed_form(
     try:
         single_link_outage = 1.0 - u * math.exp(-b) / (rho * v + u)
         upper = lru_cache(maxsize=None)(lambda s: upper_incomplete_gamma(s, b))
-        bracket = {n: _sop_series_bracket(n, p, variant, upper) for n in range(1, k)}
+        bracket = {n: _sop_series_bracket(n, p, mode, upper) for n in range(1, k)}
         if mode is KnowledgeMode.AVAILABLE:
             value = (1.0 - delta) ** k
             value += delta * (1.0 - delta) ** (k - 1) * k * single_link_outage
             for q in range(2, k + 1):
-                depth = (k - 1) if variant.depth_rule == "full" else (q - 1)
                 inner = 0.0
-                for n in range(1, depth + 1):
+                for n in range(1, k):
                     inner += (
-                        binomial(depth, n)
+                        binomial(k - 1, n)
                         * (-1.0) ** (n + 1)
                         * delta ** (n + 1)
                         * n
@@ -436,13 +377,10 @@ def sop_closed_form(
     return _flag_range(MetricValue(Metric.SOP, mode, value, "series"))
 
 
-def closed_form(
-    p: SystemParams, metric: Metric, mode: KnowledgeMode,
-    sop_variant: SopSeriesVariant | None = None,
-) -> MetricValue:
+def closed_form(p: SystemParams, metric: Metric, mode: KnowledgeMode) -> MetricValue:
     if metric is Metric.NZR:
         return nzr_closed_form(p, mode)
-    return sop_closed_form(p, mode, sop_variant)
+    return sop_closed_form(p, mode)
 
 
 # ---------------------------------------------------------------------------

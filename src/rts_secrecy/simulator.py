@@ -185,15 +185,20 @@ def _zeros(g_e: np.ndarray) -> np.ndarray | None:
     return zero if zero.any() else None
 
 
-def _first_argmax(score: np.ndarray, penalty: np.ndarray | None = None) -> np.ndarray:
-    """Per trial (column) of a (k, trials) score, the lowest row index of its maximum.
+def _first_argmax(
+    score: np.ndarray, penalty: np.ndarray | None = None, margin: float | None = None
+) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per trial (column) of a (k, trials) score, the lowest row index (uint8) of its maximum.
 
     `penalty` (see `_penalty`) makes dead gates score -inf first.  Equal to
     np.argmax(scores, axis=1) on the (trials, k) gated scores, ties, +-inf
     and all-dead columns (pick 0) included, for NaN-free scores.  Instead of
     one short argmax per trial it runs contiguous passes over the k rows: a
     max-reduce, an equality test, and a max-reduce of the equal rows weighted
-    k, k-1, ..., 1 that finds the first of them.
+    k, k-1, ..., 1 that finds the first of them.  With a `margin` M > 1 it
+    returns (pick, unique, top): `top` is the column maximum, and `unique`
+    says exactly one row has score >= fl(top / M); for top >= 0 that is the
+    top row itself and no other (see `_certified_choose`).
     """
     k = score.shape[0]
     if penalty is not None:
@@ -205,7 +210,31 @@ def _first_argmax(score: np.ndarray, penalty: np.ndarray | None = None) -> np.nd
         top = score.max(axis=0)
     first = (score == top).view(np.uint8)
     first *= np.arange(k, 0, -1, dtype=np.uint8)[:, None]
-    return k - first.max(axis=0).astype(np.intp)
+    pick = k - first.max(axis=0)
+    if margin is None:
+        return pick
+    np.greater_equal(score, top / margin, out=first.view(bool))  # the top row counts itself
+    return pick, first.sum(axis=0, dtype=np.uint8) == 1, top
+
+
+def _scores(
+    p: SystemParams | None, scheme: Scheme, g_d: np.ndarray, g_e: np.ndarray, zero: np.ndarray | None
+) -> np.ndarray:
+    """Per-link scores of `scheme` from (k, trials) gains, as `_score` computes them.
+
+    `zero` is `_zeros(g_e)`; only the optimal rule reads `p` (its noise powers).
+    """
+    if scheme is Scheme.RTS:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            score = g_d / g_e  # an overflow scores +inf and ties, as in `_score`
+        if zero is not None:
+            score[zero] = np.inf  # as in `_score`, 0/0 included
+        return score
+    if scheme is Scheme.TTS:
+        return g_d
+    if scheme is Scheme.MIN_ES:
+        return -g_e
+    return np.maximum(np.log2((1.0 + g_d / p.sigma_d) / (1.0 + g_e / p.sigma_e)), 0.0)
 
 
 def _choose(
@@ -222,56 +251,33 @@ def _choose(
     it dead transmitters score -inf, and when every gate is down the pick is
     index 0, which is dead and so never counts as live.
     """
-    if scheme is Scheme.RTS:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            score = g_d / g_e  # an overflow scores +inf and ties, as in `_score`
-        if zero is not None:
-            score[zero] = np.inf  # as in `_score`, 0/0 included
-    elif scheme is Scheme.TTS:
-        score = g_d
-    elif scheme is Scheme.MIN_ES:
-        score = -g_e
-    else:
-        score = np.maximum(np.log2((1.0 + g_d / p.sigma_d) / (1.0 + g_e / p.sigma_e)), 0.0)
-    return _first_argmax(score, penalty)
-
-
-def _selected_link(
-    p: SystemParams, g_d: np.ndarray, g_e: np.ndarray, active: np.ndarray, sel: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(unclamped secrecy rate, gate is up) of the selected link per trial.
-
-    The arrays are (k, trials), as everywhere in the selection kernel.
-    """
-    trials = sel.shape[0]
-    pick = sel * trials + np.arange(trials)  # flat index of [sel, trial]
-    raw = np.log2((1.0 + g_d.take(pick) / p.sigma_d) / (1.0 + g_e.take(pick) / p.sigma_e))
-    return raw, active.take(pick)
+    return _first_argmax(_scores(p, scheme, g_d, g_e, zero), penalty)
 
 
 class _Selection:
-    """One pick per trial shared by several points, and what they read of the picked link.
+    """Picked links of a block's trials, and what points read of them.
 
-    The unit gains of the picked link are gathered once (a point scales
-    them by its own 1/lambda, which is bit for bit the gather of its scaled
-    gains), and the rate denominator 1 + e_e / lambda_e / sigma_e and the
-    picked gate states are made once per (lambda_e, sigma_e) and per delta.
-    `moved` marks the trials whose clamp fallback (see `_anchored_plan`) is
-    another link than the pick; None where the pick is exact.
+    `sel` is the picked row of each trial in `trials` (default: every trial
+    of the (k, block) gains).  The unit gains of the picked links are
+    gathered once (a point scales them by its own 1/lambda, which is bit
+    for bit the gather of its scaled gains), and the rate denominator
+    1 + e_e / lambda_e / sigma_e and the picked gate states are made once
+    per (lambda_e, sigma_e) and per delta.
     """
 
-    def __init__(self, sel: np.ndarray, e_d: np.ndarray, e_e: np.ndarray, fallback: np.ndarray | int | None = None):
-        self.pick = np.asarray(sel, dtype=np.intp) * sel.size + np.arange(sel.size)  # flat [sel, trial]
+    def __init__(self, sel: np.ndarray, e_d: np.ndarray, e_e: np.ndarray, trials: np.ndarray | None = None):
+        trials = np.arange(sel.size) if trials is None else trials
+        self.pick = np.asarray(sel, dtype=np.intp) * e_d.shape[1] + trials  # flat [sel, trial]
         self.e_d, self.e_e = e_d.take(self.pick), e_e.take(self.pick)
-        self.moved = None if fallback is None else sel != fallback
         self._dens: dict[tuple[float, float], np.ndarray] = {}
         self._lives: dict[float, np.ndarray] = {}
 
-    def den(self, p: SystemParams) -> np.ndarray:
+    def rate(self, p: SystemParams) -> np.ndarray:
+        """Unclamped secrecy rate of each picked link at point `p`."""
         key = p.lambda_e, p.sigma_e
         if key not in self._dens:
             self._dens[key] = 1.0 + self.e_e / p.lambda_e / p.sigma_e
-        return self._dens[key]
+        return np.log2((1.0 + self.e_d / p.lambda_d / p.sigma_d) / self._dens[key])
 
     def live(self, delta: float, active: np.ndarray) -> np.ndarray:
         if delta not in self._lives:
@@ -295,37 +301,25 @@ def _certified_choose(
 
     |eta| <= 4u + O(u^2), with one constant lambda_e / lambda_d for the whole
     trial (tts: S = fl(e_d / lambda_d), |eta| <= 2u + O(u^2)).  A trial is
-    certified when its best live score s1 beats every other live score s by
-    s1 > fl(s * _MARGIN) >= s (1 + 16u)(1 - u) > s (1 + u)^4 / (1 - u)^4:
-    then S1 > S strictly, and the scaled first argmax is the same row.  Also
-    certified: a single live link, an all-dead trial (pick 0 either way), and
-    a unique +inf (e_e == 0, which holds exactly when g_e == 0).  Not
-    certified: exact finite ties, a top score of 0 and several +inf.
+    certified when every live score s other than its best s1 lies below
+    fl(s1 / _MARGIN), so s < s1 (1 + u) / (1 + 16u) and
+    s1 > s (1 + 16u) / (1 + u) > s (1 + u)^4 / (1 - u)^4 (the ratio of the
+    two sides is 1 + 7u + O(u^2)): then S1 > S strictly, and the scaled
+    first argmax is the same row.  Also certified: a single live link, an
+    all-dead trial (pick 0 either way), and a unique +inf (e_e == 0, which
+    holds exactly when g_e == 0).  Not certified: exact finite ties, a top
+    score of 0 and several +inf.
 
     Normal results: Philox uniforms are multiples of 2^-53 in [0, 1), so a
     unit gain is 0 or in [2^-53, 53 ln 2] = [1.1e-16, 36.74], s is 0, +inf or
-    in [3.0e-18, 3.3e17], and s * _MARGIN cannot overflow.  g is normal for
+    in [3.0e-18, 3.3e17], and s1 / _MARGIN is normal.  g is normal for
     lambda in [2.0e-307, 5.0e291] and S for lambda_e / lambda_d in
     [7.4e-291, 5.4e290], which holds for both lambdas in [1/L, L] with
     L <= 1.17e145; `_SAFE_LAMBDA` takes L = 1e100.  g_e then underflows to 0
     only where e_e is 0, and S overflows nowhere.
     """
-    if scheme is Scheme.RTS:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score = e_d / e_e
-        if zero is not None:
-            score[zero] = np.inf  # as in `_choose`
-    else:
-        score = e_d
-    if penalty is not None:
-        with np.errstate(invalid="ignore"):
-            score = score + penalty
-    top = score.max(axis=0)
-    if penalty is not None and np.isnan(top).any():  # +inf met a dead gate: inf - inf
-        score[np.isnan(score)] = -np.inf
-        top = score.max(axis=0)
-    near = np.count_nonzero(score * _MARGIN >= top, axis=0)  # the top row counts itself
-    return _first_argmax(score), np.flatnonzero((near > 1) & (top > -np.inf))
+    sel, unique, top = _first_argmax(_scores(None, scheme, e_d, e_e, zero), penalty, _MARGIN)
+    return sel, np.flatnonzero(~unique & (top > -np.inf))
 
 
 def _inverse_snr(e_e: np.ndarray, p: SystemParams, penalty: np.ndarray | None) -> np.ndarray:
@@ -341,10 +335,10 @@ def _ratio_top(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The optimal rule's unclamped rate ratio at one lambda_d: (top, unique, clamped) per trial.
 
-    `inv` is `_inverse_snr` of the point; `top` (uint8) is the first live
-    link within the margin below of the largest ratio, `unique` says no
-    other live link is within it, and `clamped` that every live ratio lies
-    below 1 by it (all-dead trials included).
+    `inv` is `_inverse_snr` of the point; `top` is the first live link of
+    the largest ratio, `unique` says no other live link is within the
+    margin below it, and `clamped` that every live ratio lies below 1 by
+    the margin (all-dead trials included).
 
     The exact ratio of a link is R = (1 + a e_d) / c, with
     a = 1 / (lambda_d sigma_d) and c = 1 + e_e / (lambda_e sigma_e).  Here it
@@ -368,15 +362,11 @@ def _ratio_top(
     picks it, and where it is <= 0, or every rate is clamped, every
     candidate scores 0 and `_choose` picks the first candidate.
     """
-    k = e_d.shape[0]
     ratio = e_d * (1.0 / (lambda_d * sigma_d))
     ratio += 1.0
     ratio *= inv
-    best = ratio.max(axis=0)
-    near = (ratio >= best / _RATIO_MARGIN).view(np.uint8)  # the top row counts itself
-    unique = near.sum(axis=0, dtype=np.uint8) == 1
-    near *= np.arange(k, 0, -1, dtype=np.uint8)[:, None]
-    return k - near.max(axis=0), unique, best * _RATIO_MARGIN < 1.0
+    top, unique, best = _first_argmax(ratio, margin=_RATIO_MARGIN)
+    return top, unique, best * _RATIO_MARGIN < 1.0
 
 
 def _anchored_plan(
@@ -441,8 +431,8 @@ def _block_outcomes(
     else:
         transmitted = np.ones(u.shape[0], dtype=bool)
         penalty = None
-    sel = _choose(p, scheme, g_d, g_e, _zeros(g_e), penalty)
-    raw, live = _selected_link(p, g_d, g_e, active, sel)
+    link = _Selection(_choose(p, scheme, g_d, g_e, _zeros(g_e), penalty), e_d, e_e)
+    raw, live = link.rate(p), link.live(p.delta, active)
     rate = np.where(live, np.maximum(raw, 0.0), 0.0)
     outage = np.where(live, raw < p.r_th, True)
     return rate, transmitted, outage
@@ -454,33 +444,16 @@ def _all_outcomes(
     mode: KnowledgeMode,
     trials: int,
     seed: int,
-    block: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    _check_run(trials, block)
-    rates = np.empty(trials)
-    transmitted = np.empty(trials, dtype=bool)
-    outage = np.empty(trials, dtype=bool)
-    for start in range(0, trials, block):
-        count = min(block, trials - start)
-        u = uniform_block(seed, p.k, start, count)
-        r, t, o = _block_outcomes(p, scheme, mode, u)
-        rates[start : start + count] = r
-        transmitted[start : start + count] = t
-        outage[start : start + count] = o
-    return rates, transmitted, outage
-
-
-def trial_outcomes(
-    p: SystemParams,
-    scheme: Scheme,
-    mode: KnowledgeMode,
-    trials: int,
-    seed: int,
     block: int = DEFAULT_BLOCK,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (rates, transmitted) arrays for `trials` trials."""
-    rates, transmitted, _ = _all_outcomes(p, scheme, mode, trials, seed, block)
-    return rates, transmitted
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-trial (rates, transmitted, outage) arrays for `trials` trials: the reference of `simulate_grid`."""
+    _check_run(trials, block)
+    blocks = [
+        _block_outcomes(p, scheme, mode, uniform_block(seed, p.k, start, min(block, trials - start)))
+        for start in range(0, trials, block)
+    ]
+    rates, transmitted, outage = (np.concatenate(parts) for parts in zip(*blocks))
+    return rates, transmitted, outage
 
 
 def outage_indicators(
@@ -547,10 +520,12 @@ def simulate_grid(
     walked once.  Per block the uniforms are generated once, mapped to
     unit-mean exponential gains once per side and to a gate mask and score
     penalty once per distinct delta, all in (k, block) layout.  Points
-    with equal `_selection_key` share one selection (`_Selection`); an
-    optimal key shares its anchors' picks along its lambda_d axis.  Each
-    point adds only its rate numerator, its re-selection of the trials its
-    shared pick does not certify, and its hit counts.  Memory is O(block)
+    with equal `_selection_key` share one plan: an (anchor, picks, trials
+    to re-select) per position on the key's lambda_d axis, which has one
+    position unless the key is an optimal one (`_anchored_plan`), and each
+    anchor's picks make one `_Selection`.  Each point adds only its rate
+    numerator, its re-selection of the trials its shared pick does not
+    certify, and its hit counts.  Memory is O(block)
     whatever `trials` and the number of points, and every estimate equals
     `simulate_point` on that point alone, at any block size.
     """
@@ -563,11 +538,12 @@ def simulate_grid(
     order = sorted(range(len(points)), key=lambda i: points[i][0].lambda_d)
     keys = [_selection_key(*point) for point in points]
     last_use = {keys[i]: i for i in order}
-    axes: dict[tuple, dict[float, int]] = {}  # an anchored key's sorted lambda_d -> position
+    axes: dict[tuple, dict] = {}  # per key: its sorted lambda_d axis (None: one pick) -> position
+    spot = {}
     for i in order:
-        if keys[i][0] is Scheme.OPTIMAL and keys[i][2][0] is None:
-            axis = axes.setdefault(keys[i], {})
-            axis.setdefault(points[i][0].lambda_d, len(axis))
+        axis = axes.setdefault(keys[i], {})
+        anchored = keys[i][2] is not None and keys[i][2][0] is None  # optimal, lambdas in range
+        spot[i] = axis.setdefault(points[i][0].lambda_d if anchored else None, len(axis))
     deltas = {p.delta for p, _, _ in points}
     nzr_hits = [0] * len(points)
     sop_hits = [0] * len(points)
@@ -580,53 +556,44 @@ def simulate_grid(
         del u  # the largest array of a block, not needed past this point
         penalties = {delta: _penalty(active) for delta, active in gates.items()}
         unit_zero = _zeros(e_e)
-        chosen: dict[tuple, tuple] = {}
+        chosen: dict[tuple, tuple] = {}  # key -> (plan: (anchor, sel, redo) per position, fallback, built)
         for i in order:
             p, scheme, mode = points[i]
             active = gates[p.delta]
             penalty = penalties[p.delta] if mode is KnowledgeMode.AVAILABLE else None
             key = keys[i]
             if key not in chosen:
-                if key in axes:  # optimal: picks certified at anchor lambda_d
+                fallback = None
+                if key[2] is None:  # scale-free rule: one pick on the unit gains
+                    plan = [(0, *_certified_choose(scheme, e_d, e_e, unit_zero, penalty))]
+                elif key[2][0] is None:  # optimal: picks certified at anchor lambda_d
                     fallback = 0 if penalty is None else active.argmax(axis=0).astype(np.uint8)
-                    inv = _inverse_snr(e_e, p, penalty)
-                    chosen[key] = _anchored_plan(e_d, list(axes[key]), p.sigma_d, inv, fallback), fallback, {}
-                    del inv  # (k, block), not needed past the anchors
-                elif key[2] is None:  # scale-free rule: one pick on the unit gains
-                    sel, redo = _certified_choose(scheme, e_d, e_e, unit_zero, penalty)
-                    chosen[key] = _Selection(sel, e_d, e_e), redo
+                    inv = _inverse_snr(e_e, p, penalty)  # (k, block), freed once the anchors are made
+                    plan = _anchored_plan(e_d, list(axes[key]), p.sigma_d, inv, fallback)
+                    del inv
                 else:  # min-es, and lambdas outside the safe range: the point's own scaled gains
                     g_e = e_e / p.lambda_e
-                    sel = _choose(p, scheme, e_d / p.lambda_d, g_e, _zeros(g_e), penalty)
-                    chosen[key] = _Selection(sel, e_d, e_e), no_redo
-            entry = chosen.pop(key) if last_use[key] == i else chosen[key]
-            if key in axes:
-                plan, fallback, built = entry
-                anchor, sel, redo = plan[axes[key][p.lambda_d]]
-                if anchor not in built:
-                    built.clear()  # points come in lambda_d order: earlier anchors are done
-                    built[anchor] = _Selection(sel, e_d, e_e, fallback)
-                shared = built[anchor]
-            else:
-                shared, redo = entry
-            raw = np.log2((1.0 + shared.e_d / p.lambda_d / p.sigma_d) / shared.den(p))
-            live, moved = shared.live(p.delta, active), shared.moved
+                    plan = [(0, _choose(p, scheme, e_d / p.lambda_d, g_e, _zeros(g_e), penalty), no_redo)]
+                chosen[key] = plan, fallback, {}
+            plan, fallback, built = chosen.pop(key) if last_use[key] == i else chosen[key]
+            anchor, sel, redo = plan[spot[i]]
+            if anchor not in built:
+                built.clear()  # points come in lambda_d order: earlier anchors are done
+                built[anchor] = _Selection(sel, e_d, e_e)
+            shared = built[anchor]
+            raw, live = shared.rate(p), shared.live(p.delta, active)
+            if fallback is not None and p.r_th == 0.0:  # at a shared rate of exactly 0 the clamp picks
+                # the fallback link (see `_anchored_plan`), which is dead or has a rate below 0: an outage
+                raw[(sel != fallback) & (raw == 0.0)] = -np.inf
             if redo.size:  # trials the shared pick does not certify: this point's own pick
                 g_d, g_e = e_d[:, redo] / p.lambda_d, e_e[:, redo] / p.lambda_e
                 own = _choose(p, scheme, g_d, g_e, _zeros(g_e), None if penalty is None else penalty[:, redo])
-                at = own * count + redo
-                num = 1.0 + e_d.take(at) / p.lambda_d / p.sigma_d
-                raw[redo] = np.log2(num / (1.0 + e_e.take(at) / p.lambda_e / p.sigma_e))
+                own = _Selection(own, e_d, e_e, trials=redo)
+                raw[redo] = own.rate(p)
                 live = live.copy()
-                live[redo] = active.take(at)
-                if moved is not None:
-                    moved = moved.copy()
-                    moved[redo] = False
+                live[redo] = own.live(p.delta, active)
             nzr_hits[i] += int(np.count_nonzero(live & (raw > 0.0)))
             sop_hits[i] += int(np.count_nonzero(~live | (raw < p.r_th)))
-            if moved is not None and p.r_th == 0.0:  # at a shared rate of exactly 0 the clamp picks
-                # the fallback link, whose rate is below 0: an outage
-                sop_hits[i] += int(np.count_nonzero(live & moved & (raw == 0.0)))
     return [
         _estimates(nzr, sop, trials, seed) for nzr, sop in zip(nzr_hits, sop_hits)
     ]

@@ -13,7 +13,6 @@ from rts_secrecy.analytics import (
     DOCUMENTED_SERIES_DEVIATIONS,
     MATCH_TOL,
     MetricValue,
-    SopSeriesVariant,
     VERDICT_MATCH,
     VERDICT_MISMATCH,
     VERDICT_OUT_OF_RANGE,
@@ -391,27 +390,6 @@ def test_sop_series_blowup_is_flagged_not_clamped():
     series = sop_closed_form(p, UNAVAIL)
     assert not series.ok
     assert not 0.0 <= series.value <= 1.0
-
-
-def test_sop_series_variant_switches_change_nothing_material():
-    # no reading of the ambiguous pieces rescues the k >= 2 cells
-    p = SystemParams.from_db(k=3, delta=0.6, snr_db=10.0)
-    target = sop_oracle(p, AVAIL).value
-    for a_rule in ("same-side", "cross-side"):
-        for gamma_rule in ("complete", "truncated"):
-            for tail_rule in ("additive", "product"):
-                variant = SopSeriesVariant(
-                    a_rule=a_rule, gamma_rule=gamma_rule, tail_rule=tail_rule
-                )
-                series = sop_closed_form(p, AVAIL, variant)
-                assert (not series.ok) or abs(series.value - target) > MATCH_TOL
-
-
-def test_sop_series_variant_validation():
-    with pytest.raises(ValueError):
-        SopSeriesVariant(a_rule="bogus")
-    with pytest.raises(ValueError):
-        SopSeriesVariant(depth_rule="deep")
 
 
 def test_sop_series_zero_threshold_flagged():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rts_secrecy import simulator
@@ -23,7 +23,6 @@ from rts_secrecy.simulator import (
     select,
     simulate_grid,
     simulate_point,
-    trial_outcomes,
     trial_stride,
     uniform_block,
 )
@@ -116,7 +115,7 @@ def test_grid_engine_counts_match_per_trial_arrays():
     trials = 3000
     points = mixed_grid(k=2)
     for (p, scheme, mode), est in zip(points, simulate_grid(points, trials, seed=5, block=700)):
-        rates, _ = trial_outcomes(p, scheme, mode, trials, seed=5)
+        rates, _, _ = simulator._all_outcomes(p, scheme, mode, trials, seed=5)
         outage = outage_indicators(p, scheme, mode, trials, seed=5)
         assert est[Metric.NZR].value == np.count_nonzero(rates > 0.0) / trials
         assert est[Metric.SOP].value == np.count_nonzero(outage) / trials
@@ -149,9 +148,10 @@ def test_grid_engine_needs_one_k():
 
 # --- vectorised selection kernel ---------------------------------------------
 
-# scores drawn from a few values, so exact ties (+0.0 against -0.0 too) are common
+# scores drawn from a few values, so exact ties (+0.0 against -0.0 too) are common;
+# the largest float overflows under a multiplied margin
 _SCORE_VALUES = st.lists(
-    st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.25, 7.0, np.inf])
+    st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.25, 7.0, np.finfo(np.float64).max, np.inf])
     | st.floats(allow_nan=False, width=64),
     min_size=1,
     max_size=4,
@@ -166,6 +166,7 @@ _SCORE_VALUES = st.lists(
     dead=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(k=2, trials=1 << 14, values=[np.inf, np.finfo(np.float64).max], dead=0.3, seed=0)
 def test_first_argmax_equals_row_argmax(k, trials, values, dead, seed):
     rng = np.random.default_rng(seed)
     score = rng.choice(np.array(values), size=(trials, k))
@@ -175,6 +176,15 @@ def test_first_argmax_equals_row_argmax(k, trials, values, dead, seed):
     assert np.array_equal(simulator._first_argmax(score_t), np.argmax(score, axis=1))
     gated = simulator._first_argmax(score_t, simulator._penalty(active_t))
     assert np.array_equal(gated, np.argmax(np.where(active, score, -np.inf), axis=1))
+    columns = rng.choice(trials, size=min(trials, 256), replace=False)
+    for margin in (simulator._MARGIN, simulator._RATIO_MARGIN):
+        for penalty in (None, simulator._penalty(active_t)):
+            pick, unique, top = simulator._first_argmax(score_t, penalty, margin)
+            assert np.array_equal(pick, gated if penalty is not None else np.argmax(score, axis=1))
+            for t in columns.tolist():  # exactly one row within the margin of the column's top
+                row = [x if penalty is None or up else -math.inf for x, up in zip(score[t].tolist(), active[t])]
+                assert top[t] == max(row)
+                assert unique[t] == (sum(x >= max(row) / margin for x in row) == 1)
     assert np.array_equal(score_t, score.T)  # the kernel leaves its input alone
 
 
@@ -201,7 +211,7 @@ def test_engine_matches_select_on_exact_ties(monkeypatch):
     monkeypatch.setattr(simulator, "uniform_block", lambda seed, k, start, count: u[start : start + count])
     for scheme in Scheme:
         for mode in KnowledgeMode:
-            rates, transmitted = trial_outcomes(p, scheme, mode, trials, seed=1, block=trials)
+            rates, transmitted, _ = simulator._all_outcomes(p, scheme, mode, trials, seed=1, block=trials)
             outs = [select(p, scheme, mode, realization_from_uniforms(p, row)) for row in u]
             assert rates == pytest.approx([out.rate for out in outs], abs=1e-12)
             assert transmitted.tolist() == [out.transmitted for out in outs]
@@ -313,7 +323,7 @@ def _assert_engine_is_reference(points, u):
     grid = simulate_grid(points, trials, seed=1, block=trials)
     assert grid == [simulate_point(p, s, m, trials, seed=1, block=max(1, trials // 3)) for p, s, m in points]
     for (p, scheme, mode), est in zip(points, grid):
-        rates, _ = trial_outcomes(p, scheme, mode, trials, seed=1, block=trials)
+        rates, _, _ = simulator._all_outcomes(p, scheme, mode, trials, seed=1, block=trials)
         outage = outage_indicators(p, scheme, mode, trials, seed=1, block=trials)
         hits = (round(est[Metric.NZR].value * trials), round(est[Metric.SOP].value * trials))
         assert hits == (np.count_nonzero(rates > 0.0), np.count_nonzero(outage)), (p, scheme, mode)
@@ -755,7 +765,7 @@ def test_scalar_select_mirrors_vectorized_path():
     p = params(k=3, delta=0.7)
     for scheme in Scheme:
         for mode in KnowledgeMode:
-            rates, transmitted = trial_outcomes(p, scheme, mode, 300, seed=13)
+            rates, transmitted, _ = simulator._all_outcomes(p, scheme, mode, 300, seed=13)
             for i in range(300):
                 out = select(p, scheme, mode, sample_realization(p, seed=13, trial=i))
                 assert out.rate == pytest.approx(rates[i], abs=1e-12)
@@ -824,8 +834,8 @@ def test_optimal_outage_never_exceeds_any_scheme_per_trial():
 def test_optimal_and_rts_share_the_nonzero_rate_event():
     # a positive best-rate pair exists iff the best ratio clears the bar
     p = params(k=4, delta=0.8)
-    r_opt, _ = trial_outcomes(p, Scheme.OPTIMAL, AVAIL, 50_000, seed=29)
-    r_rts, _ = trial_outcomes(p, Scheme.RTS, AVAIL, 50_000, seed=29)
+    r_opt, _, _ = simulator._all_outcomes(p, Scheme.OPTIMAL, AVAIL, 50_000, seed=29)
+    r_rts, _, _ = simulator._all_outcomes(p, Scheme.RTS, AVAIL, 50_000, seed=29)
     assert np.array_equal(r_opt > 0.0, r_rts > 0.0)
 
 
