@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence, TextIO
 
 from scipy import integrate
 
-from .params import KnowledgeMode, Metric, SystemParams
+from .params import MAX_TRANSMITTERS, KnowledgeMode, Metric, SystemParams
 from .specfun import (
     binomial,
     exp_integral_ei,
@@ -372,7 +372,8 @@ def sop_closed_form(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
                     * bracket[n]
                 )
             value = (1.0 - delta) + delta * k * tail
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        # ValueError: an infinite gamma argument b, where sigma_d lambda_d overflows
         return MetricValue(Metric.SOP, mode, math.nan, "series", False, f"series failed: {exc}")
     return _flag_range(MetricValue(Metric.SOP, mode, value, "series"))
 
@@ -387,64 +388,36 @@ def closed_form(p: SystemParams, metric: Metric, mode: KnowledgeMode) -> MetricV
 # validation: series vs oracle with verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesDeviation:
-    """One known defect class of the series closed forms."""
-
-    metric: Metric
-    mode: KnowledgeMode
-    min_k: int
-    max_k: int | None
-    reason: str
-
-    def applies(self, metric: Metric, mode: KnowledgeMode, k: int) -> bool:
-        if metric is not self.metric or mode is not self.mode:
-            return False
-        return k >= self.min_k and (self.max_k is None or k <= self.max_k)
-
-
-DOCUMENTED_SERIES_DEVIATIONS: tuple[SeriesDeviation, ...] = (
-    SeriesDeviation(
-        Metric.NZR,
-        KnowledgeMode.AVAILABLE,
-        3,
-        None,
+# known defect classes of the series closed forms:
+# (metric, mode) -> (min_k, max_k, reason)
+DOCUMENTED_SERIES_DEVIATIONS: dict[tuple[Metric, KnowledgeMode], tuple[int, int, str]] = {
+    (Metric.NZR, KnowledgeMode.AVAILABLE): (
+        3, MAX_TRANSMITTERS,
         "gate-known series overcounts the competitor expansion for k >= 3 "
         "(first spurious term scales like 3 delta^2 at k = 3); exact for k <= 2",
     ),
-    SeriesDeviation(
-        Metric.NZR,
-        KnowledgeMode.UNAVAILABLE,
-        1,
-        1,
+    (Metric.NZR, KnowledgeMode.UNAVAILABLE): (
+        1, 1,
         "empty competitor sum at k = 1 drops the single-pair zero-rate factor "
         "sigma_e lambda_e / (sigma_e lambda_e + sigma_d lambda_d)",
     ),
-    SeriesDeviation(
-        Metric.SOP,
-        KnowledgeMode.AVAILABLE,
-        2,
-        None,
+    (Metric.SOP, KnowledgeMode.AVAILABLE): (
+        2, MAX_TRANSMITTERS,
         "outage bracket disagrees with its defining integral under every "
         "documented reading; only the k = 1 reduction is sound",
     ),
-    SeriesDeviation(
-        Metric.SOP,
-        KnowledgeMode.UNAVAILABLE,
-        1,
-        None,
+    (Metric.SOP, KnowledgeMode.UNAVAILABLE): (
+        1, MAX_TRANSMITTERS,
         "outage bracket disagrees with its defining integral under every "
         "documented reading, and the k = 1 sum is empty",
     ),
-)
+}
 
 
 def documented_series_deviation(metric: Metric, mode: KnowledgeMode, k: int) -> str | None:
     """Reason text when (metric, mode, k) falls in a known defect class."""
-    for dev in DOCUMENTED_SERIES_DEVIATIONS:
-        if dev.applies(metric, mode, k):
-            return dev.reason
-    return None
+    min_k, max_k, reason = DOCUMENTED_SERIES_DEVIATIONS[(metric, mode)]
+    return reason if min_k <= k <= max_k else None
 
 
 @dataclass(frozen=True)

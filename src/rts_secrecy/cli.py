@@ -18,10 +18,11 @@ import gc
 import math
 import sys
 from dataclasses import replace
+from enum import EnumMeta
 from typing import Sequence, TextIO
 
-from . import analytics
-from .params import KnowledgeMode, Metric, Scheme, SystemParams
+from . import analytics, params
+from .params import MAX_R_TH, KnowledgeMode, Metric, Scheme, SystemParams
 # simulate_point is not called here; it stays a cli attribute for profilers
 # that wrap it by name
 from .simulator import MetricEstimate, simulate_grid, simulate_point  # noqa: F401
@@ -34,45 +35,11 @@ CSV_HEADER = (
     "simulated,std_err,trials,seed,flags"
 )
 
-DEFAULTS = {
-    "k": "3,5",
-    "delta": "0.9,0.2",
-    "snr-db": "0:60:5",
-    "lambda-e-db": "8",
-    "sigma-d-db": "1",
-    "sigma-e-db": "10",
-    "rth": "1",
-    "scheme": "rts",
-    "mode": "available,unavailable",
-    "metric": "nzr,sop",
-    "trials": "1000000",
-    "seed": "1",
-    "out": "-",
-}
-
-_VALIDATE_OVERRIDES = {
-    "k": "1,2,3,4,5",
-    "delta": "0.2,0.5,0.9",
-    "snr-db": "10,30,50",
-}
-
-_COMPARE_OVERRIDES = {
-    "k": "5",
-    "delta": "0.9",
-    "scheme": "rts,tts,min-es,optimal",
-    "metric": "sop",
-    "mode": "available",
-}
-
-_POINT_OVERRIDES = {
-    "k": "5",
-    "delta": "0.9",
-    "snr-db": "10",
-}
-
-
 # the seed is the Philox key: two 64-bit words
 _SEED_LIMIT = 2**128
+
+# most points a lo:hi:step range may hold, far above any real grid
+_MAX_RANGE_POINTS = 10**6
 
 # width, in standard errors, of the rts-vs-oracle --check interval
 _CHECK_Z = 5.0
@@ -87,49 +54,97 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_list(text: str, name: str, kind: type = float) -> list:
-    try:
-        values = [kind(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad {name} value {text!r}: {exc}") from None
-    if not values:
-        raise UsageError(f"{name} needs at least one value, got {text!r}")
+def _values(kind, check=lambda value: True, domain: str = ""):
+    """Parser of a comma list of `kind` values (a number type or an Enum).
+
+    With `check`, every value must pass it; `domain` describes what passes.
+    """
+
+    def parse(text: str, name: str) -> list:
+        values = []
+        for part in filter(None, (part.strip() for part in text.split(","))):
+            try:
+                values.append(kind(part))
+            except ValueError as exc:
+                if isinstance(kind, EnumMeta):
+                    allowed = ", ".join(member.value for member in kind)
+                    raise UsageError(f"bad {name} value {part!r}; allowed: {allowed}") from None
+                raise UsageError(f"bad {name} value {part!r}: {exc}") from None
+        if not values:
+            raise UsageError(f"{name} needs at least one value, got {text!r}")
+        return _checked(values, name, check, domain)
+
+    return parse
+
+
+def _checked(values: list, name: str, check, domain: str) -> list:
+    for value in values:
+        if not check(value):
+            raise UsageError(f"{name} must be {domain}, got {value!r}")
     return values
 
 
-def _parse_snr_values(text: str) -> list[float]:
+def _single(kind, check, domain: str):
+    """Parser of one `kind` value that passes `check`, described by `domain`."""
+    listed = _values(kind, check, domain)
+
+    def parse(text: str, name: str):
+        values = listed(text, name)
+        if len(values) != 1:
+            raise UsageError(f"{name} takes a single value, got {text!r}")
+        return values[0]
+
+    return parse
+
+
+# the dB flags' check and its description
+_DB = (params.has_linear_value, params.DB_DOMAIN)
+
+
+def _snr_values(text: str, name: str) -> list[float]:
     """Either lo:hi:step (hi inclusive when hit exactly) or a comma list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"snr-db range must be lo:hi:step, got {text!r}")
-        try:
-            lo, hi, step = (float(part) for part in parts)
-        except ValueError as exc:
-            raise UsageError(f"bad snr-db range {text!r}: {exc}") from None
-        if step <= 0:
-            raise UsageError(f"snr-db step must be positive, got {step}")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        if count < 1:
-            raise UsageError(f"empty snr-db range {text!r}")
-        return [lo + i * step for i in range(count)]
-    return _parse_list(text, "snr-db")
+    if ":" not in text:
+        return _values(float, *_DB)(text, name)
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise UsageError(f"{name} range must be lo:hi:step, got {text!r}")
+    try:
+        lo, hi, step = (float(part) for part in parts)
+    except ValueError as exc:
+        raise UsageError(f"bad {name} range {text!r}: {exc}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise UsageError(f"{name} range needs a finite lo, hi and step, got {text!r}")
+    if step <= 0:
+        raise UsageError(f"{name} step must be positive, got {step}")
+    # the cap is checked on the float quotient, before any list exists
+    quotient = (hi - lo) / step + 1e-9
+    if quotient >= _MAX_RANGE_POINTS:
+        raise UsageError(f"{name} range {text!r} holds more than {_MAX_RANGE_POINTS} points")
+    count = int(math.floor(quotient)) + 1
+    if count < 1:
+        raise UsageError(f"empty {name} range {text!r}")
+    return _checked([lo + i * step for i in range(count)], name, *_DB)
 
 
-def _parse_enum_list(text: str, enum_cls, name: str) -> list:
-    values = []
-    for part in text.split(","):
-        part = part.strip()
-        if part == "":
-            continue
-        try:
-            values.append(enum_cls(part))
-        except ValueError:
-            allowed = ", ".join(member.value for member in enum_cls)
-            raise UsageError(f"bad {name} value {part!r}; allowed: {allowed}") from None
-    if not values:
-        raise UsageError(f"{name} needs at least one value, got {text!r}")
-    return values
+# flag name -> (default, help, parser); a parser maps (text, flag name) to
+# the typed value or raises UsageError
+_FLAGS = {
+    "k": ("3,5", "transmitter counts, comma separated", _values(int)),
+    "delta": ("0.9,0.2", "backhaul reliabilities, comma separated", _values(float)),
+    "snr-db": ("0:60:5", "destination SNR grid: lo:hi:step or comma list", _snr_values),
+    "lambda-e-db": ("8", "mean eavesdropper channel gain in dB", _single(float, *_DB)),
+    "sigma-d-db": ("1", "destination noise power in dB", _single(float, *_DB)),
+    "sigma-e-db": ("10", "eavesdropper noise power in dB", _single(float, *_DB)),
+    "rth": ("1", "target secrecy rate in bits per channel use",
+            _single(float, lambda rth: 0.0 <= rth < MAX_R_TH, f"in [0, {MAX_R_TH:g})")),
+    "scheme": ("rts", "selection schemes, comma separated", _values(Scheme)),
+    "mode": ("available,unavailable", "gate-knowledge modes, comma separated",
+             _values(KnowledgeMode)),
+    "metric": ("nzr,sop", "metrics to report, comma separated", _values(Metric)),
+    "trials": ("1000000", "Monte Carlo trials per point", _single(int, lambda n: n >= 1, ">= 1")),
+    "seed": ("1", "stream seed", _single(int, lambda s: 0 <= s < _SEED_LIMIT, "in [0, 2**128)")),
+    "out": ("-", "output path, - for stdout", lambda text, name: text),
+}
 
 
 def read_config(path: str) -> dict[str, str]:
@@ -138,7 +153,7 @@ def read_config(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -148,86 +163,34 @@ def read_config(path: str) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in DEFAULTS:
+        if key not in _FLAGS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value.strip()
     return out
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", help="transmitter counts, comma separated")
-    parser.add_argument("--delta", help="backhaul reliabilities, comma separated")
-    parser.add_argument("--snr-db", help="destination SNR grid: lo:hi:step or comma list")
-    parser.add_argument("--lambda-e-db", help="mean eavesdropper channel gain in dB")
-    parser.add_argument("--sigma-d-db", help="destination noise power in dB")
-    parser.add_argument("--sigma-e-db", help="eavesdropper noise power in dB")
-    parser.add_argument("--rth", help="target secrecy rate in bits per channel use")
-    parser.add_argument("--scheme", help="selection schemes, comma separated")
-    parser.add_argument("--mode", help="gate-knowledge modes, comma separated")
-    parser.add_argument("--metric", help="metrics to report, comma separated")
-    parser.add_argument("--trials", help="Monte Carlo trials per point")
-    parser.add_argument("--seed", help="stream seed")
-    parser.add_argument("--out", help="output path, - for stdout")
-    parser.add_argument("--config", help="key = value file supplying defaults")
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="enable the command's consistency assertions (exit 2 on failure)",
-    )
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="rts-secrecy", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("sweep", "metric estimates over a parameter grid"),
-        ("compare", "selection schemes side by side at one point"),
-        ("validate", "series closed forms against the oracle"),
-        ("point", "all analytic and simulated values at one point"),
-    ):
-        _add_common_flags(sub.add_parser(name, help=help_text))
+    for command, (_, help_text, _) in _COMMANDS.items():
+        flags = sub.add_parser(command, help=help_text)
+        for name, (_, flag_help, _) in _FLAGS.items():
+            flags.add_argument(f"--{name}", help=flag_help)
+        flags.add_argument("--config", help="key = value file supplying defaults")
+        flags.add_argument(
+            "--check",
+            action="store_true",
+            help="enable the command's consistency assertions (exit 2 on failure)",
+        )
     return parser
 
 
 def resolve_settings(args: argparse.Namespace, overrides: dict[str, str]) -> dict[str, str]:
     """Merge flag > config-file > per-command default > global default."""
     config = read_config(args.config) if args.config else {}
-    settings = {}
-    for key, fallback in DEFAULTS.items():
-        flag_value = getattr(args, key.replace("-", "_"))
-        if flag_value is not None:
-            settings[key] = flag_value
-        elif key in config:
-            settings[key] = config[key]
-        else:
-            settings[key] = overrides.get(key, fallback)
-    return settings
-
-
-def _typed(settings: dict[str, str]) -> dict:
-    trials_list = _parse_list(settings["trials"], "trials", int)
-    seed_list = _parse_list(settings["seed"], "seed", int)
-    if len(trials_list) != 1 or len(seed_list) != 1:
-        raise UsageError("trials and seed take a single value")
-    trials, seed = trials_list[0], seed_list[0]
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
-    if not 0 <= seed < _SEED_LIMIT:
-        raise UsageError(f"seed must be in [0, 2**128), got {seed}")
-    return {
-        "ks": _parse_list(settings["k"], "k", int),
-        "deltas": _parse_list(settings["delta"], "delta"),
-        "snrs": _parse_snr_values(settings["snr-db"]),
-        "lambda_e_db": _parse_list(settings["lambda-e-db"], "lambda-e-db")[0],
-        "sigma_d_db": _parse_list(settings["sigma-d-db"], "sigma-d-db")[0],
-        "sigma_e_db": _parse_list(settings["sigma-e-db"], "sigma-e-db")[0],
-        "r_th": _parse_list(settings["rth"], "rth")[0],
-        "schemes": _parse_enum_list(settings["scheme"], Scheme, "scheme"),
-        "modes": _parse_enum_list(settings["mode"], KnowledgeMode, "mode"),
-        "metrics": _parse_enum_list(settings["metric"], Metric, "metric"),
-        "trials": trials,
-        "seed": seed,
-    }
+    settings = {name: default for name, (default, _, _) in _FLAGS.items()} | overrides | config
+    flags = {name: getattr(args, name.replace("-", "_")) for name in _FLAGS}
+    return settings | {name: value for name, value in flags.items() if value is not None}
 
 
 def _echo_settings(stream: TextIO, command: str, settings: dict[str, str]) -> None:
@@ -244,10 +207,10 @@ def _params(cfg: dict, k: int, delta: float, snr_db: float) -> SystemParams:
             k=k,
             delta=delta,
             snr_db=snr_db,
-            lambda_e_db=cfg["lambda_e_db"],
-            sigma_d_db=cfg["sigma_d_db"],
-            sigma_e_db=cfg["sigma_e_db"],
-            r_th=cfg["r_th"],
+            lambda_e_db=cfg["lambda-e-db"],
+            sigma_d_db=cfg["sigma-d-db"],
+            sigma_e_db=cfg["sigma-e-db"],
+            r_th=cfg["rth"],
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -255,9 +218,9 @@ def _params(cfg: dict, k: int, delta: float, snr_db: float) -> SystemParams:
 
 def _grid(cfg: dict):
     """(k, delta, snr_db, params) over the grid, in output row order."""
-    for k in cfg["ks"]:
-        for delta in cfg["deltas"]:
-            for snr_db in cfg["snrs"]:
+    for k in cfg["k"]:
+        for delta in cfg["delta"]:
+            for snr_db in cfg["snr-db"]:
                 yield k, delta, snr_db, _params(cfg, k, delta, snr_db)
 
 
@@ -290,9 +253,9 @@ def _grid_rows(cfg: dict, check: bool, estimates: dict) -> tuple[list[list[str]]
     rows: list[list[str]] = []
     failures = 0
     for k, delta, snr_db, p in _grid(cfg):
-        for scheme in cfg["schemes"]:
-            for mode in cfg["modes"]:
-                for metric in cfg["metrics"]:
+        for scheme in cfg["scheme"]:
+            for mode in cfg["mode"]:
+                for metric in cfg["metric"]:
                     est = estimates[(p, scheme, mode)][metric]
                     analytic = ""
                     asymptote = ""
@@ -336,9 +299,8 @@ def _write_csv(stream: TextIO, command: str, settings: dict[str, str], rows: lis
     writer.writerows(rows)
 
 
-def cmd_sweep(settings: dict[str, str], check: bool, stream: TextIO) -> int:
-    cfg = _typed(settings)
-    estimates = _simulate(cfg, cfg["schemes"], cfg["modes"])
+def cmd_sweep(settings: dict[str, str], cfg: dict, check: bool, stream: TextIO) -> int:
+    estimates = _simulate(cfg, cfg["scheme"], cfg["mode"])
     rows, failures = _grid_rows(cfg, check, estimates)
     _write_csv(stream, "sweep", settings, rows)
     if failures:
@@ -346,13 +308,12 @@ def cmd_sweep(settings: dict[str, str], check: bool, stream: TextIO) -> int:
     return 2 if failures else 0
 
 
-def cmd_compare(settings: dict[str, str], check: bool, stream: TextIO) -> int:
-    cfg = _typed(settings)
-    if len(cfg["ks"]) != 1 or len(cfg["deltas"]) != 1:
+def cmd_compare(settings: dict[str, str], cfg: dict, check: bool, stream: TextIO) -> int:
+    if len(cfg["k"]) != 1 or len(cfg["delta"]) != 1:
         raise UsageError("compare takes a single k and delta value")
-    if check and Scheme.RTS not in cfg["schemes"]:
+    if check and Scheme.RTS not in cfg["scheme"]:
         raise UsageError("compare --check needs the rts scheme in --scheme")
-    estimates = _simulate(cfg, cfg["schemes"], cfg["modes"])
+    estimates = _simulate(cfg, cfg["scheme"], cfg["mode"])
     rows, failures = _grid_rows(cfg, check, estimates)
     _write_csv(stream, "compare", settings, rows)
     if check:
@@ -371,9 +332,9 @@ def _compare_order_failures(cfg: dict, stream: TextIO, estimates: dict) -> int:
     """
     failures = 0
     for _, _, snr_db, p in _grid(cfg):
-        for mode in cfg["modes"]:
-            by_scheme = {scheme: estimates[(p, scheme, mode)] for scheme in cfg["schemes"]}
-            for metric in cfg["metrics"]:
+        for mode in cfg["mode"]:
+            by_scheme = {scheme: estimates[(p, scheme, mode)] for scheme in cfg["scheme"]}
+            for metric in cfg["metric"]:
                 ref = by_scheme[Scheme.RTS][metric]
                 sign = 1.0 if metric is Metric.SOP else -1.0
                 pairs = []
@@ -394,13 +355,12 @@ def _compare_order_failures(cfg: dict, stream: TextIO, estimates: dict) -> int:
     return failures
 
 
-def cmd_validate(settings: dict[str, str], check: bool, stream: TextIO) -> int:
-    cfg = _typed(settings)
-    estimates = _simulate(cfg, [Scheme.RTS], cfg["modes"])
+def cmd_validate(settings: dict[str, str], cfg: dict, check: bool, stream: TextIO) -> int:
+    estimates = _simulate(cfg, [Scheme.RTS], cfg["mode"])
     rows = []
     for _, _, snr_db, p in _grid(cfg):
         for row in analytics.validate_point(p, snr_db):
-            if row.metric not in cfg["metrics"] or row.mode not in cfg["modes"]:
+            if row.metric not in cfg["metric"] or row.mode not in cfg["mode"]:
                 continue
             est = estimates[(p, Scheme.RTS, row.mode)][row.metric]
             rows.append(replace(row, simulated=est.value, std_err=est.std_err))
@@ -413,18 +373,17 @@ def cmd_validate(settings: dict[str, str], check: bool, stream: TextIO) -> int:
     return 0
 
 
-def cmd_point(settings: dict[str, str], check: bool, stream: TextIO) -> int:
-    cfg = _typed(settings)
-    if len(cfg["ks"]) != 1 or len(cfg["deltas"]) != 1 or len(cfg["snrs"]) != 1:
+def cmd_point(settings: dict[str, str], cfg: dict, check: bool, stream: TextIO) -> int:
+    if len(cfg["k"]) != 1 or len(cfg["delta"]) != 1 or len(cfg["snr-db"]) != 1:
         raise UsageError("point takes a single k, delta, and snr-db value")
-    k, delta, snr_db = cfg["ks"][0], cfg["deltas"][0], cfg["snrs"][0]
+    k, delta, snr_db = cfg["k"][0], cfg["delta"][0], cfg["snr-db"][0]
     p = _params(cfg, k, delta, snr_db)
     _echo_settings(stream, "point", settings)
-    estimates = _simulate(cfg, cfg["schemes"], cfg["modes"])
+    estimates = _simulate(cfg, cfg["scheme"], cfg["mode"])
     failures = 0
-    for scheme in cfg["schemes"]:
-        for mode in cfg["modes"]:
-            for metric in cfg["metrics"]:
+    for scheme in cfg["scheme"]:
+        for mode in cfg["mode"]:
+            for metric in cfg["metric"]:
                 est = estimates[(p, scheme, mode)][metric]
                 stream.write(
                     f"{scheme.value} {mode.value} {metric.value}: "
@@ -447,11 +406,19 @@ def cmd_point(settings: dict[str, str], check: bool, stream: TextIO) -> int:
     return 2 if failures else 0
 
 
+# command -> (handler, help, defaults that override the flag table's)
 _COMMANDS = {
-    "sweep": (cmd_sweep, {}),
-    "compare": (cmd_compare, _COMPARE_OVERRIDES),
-    "validate": (cmd_validate, _VALIDATE_OVERRIDES),
-    "point": (cmd_point, _POINT_OVERRIDES),
+    "sweep": (cmd_sweep, "metric estimates over a parameter grid", {}),
+    "compare": (cmd_compare, "selection schemes side by side at one point", {
+        "k": "5", "delta": "0.9", "scheme": "rts,tts,min-es,optimal",
+        "metric": "sop", "mode": "available",
+    }),
+    "validate": (cmd_validate, "series closed forms against the oracle", {
+        "k": "1,2,3,4,5", "delta": "0.2,0.5,0.9", "snr-db": "10,30,50",
+    }),
+    "point": (cmd_point, "all analytic and simulated values at one point", {
+        "k": "5", "delta": "0.9", "snr-db": "10",
+    }),
 }
 
 
@@ -459,14 +426,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        handler, overrides = _COMMANDS[args.command]
+        handler, _, overrides = _COMMANDS[args.command]
         settings = resolve_settings(args, overrides)
-        out_path = settings["out"]
-        if out_path == "-":
-            return handler(settings, args.check, sys.stdout)
-        with open(out_path, "w", encoding="utf-8", newline="") as stream:
-            return handler(settings, args.check, stream)
-    except UsageError as exc:
+        cfg = {name: parse(settings[name], name) for name, (_, _, parse) in _FLAGS.items()}
+        if cfg["out"] == "-":
+            return handler(settings, cfg, args.check, sys.stdout)
+        with open(cfg["out"], "w", encoding="utf-8", newline="") as stream:
+            return handler(settings, cfg, args.check, stream)
+    except (UsageError, OSError) as exc:  # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 MAX_TRANSMITTERS = 64  # exact-integer binomial budget; larger K is rejected
+MAX_R_TH = 1024.0  # from here on the outage threshold 2**r_th overflows
+DB_DOMAIN = "finite, with 10^(x/10) and its reciprocal both positive and finite"
 
 
 class KnowledgeMode(Enum):
@@ -42,8 +44,20 @@ class Metric(Enum):
 
 
 def db_to_linear(x_db: float) -> float:
-    """Map a dB quantity to linear scale, 10^(x/10)."""
-    return 10.0 ** (x_db / 10.0)
+    """Map a dB quantity to linear scale, 10^(x/10); inf where that overflows."""
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def has_linear_value(x_db: float) -> bool:
+    """Whether 10^(x/10) and its reciprocal are both positive and finite.
+
+    Means in dB become rates 1/mean, so both directions must be representable.
+    """
+    linear = db_to_linear(x_db)
+    return 0.0 < linear < math.inf and 1.0 / linear < math.inf
 
 
 @dataclass(frozen=True)
@@ -76,8 +90,8 @@ class SystemParams:
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {val}")
-        if not (math.isfinite(self.r_th) and self.r_th >= 0.0):
-            raise ValueError(f"r_th must be finite and >= 0, got {self.r_th}")
+        if not 0.0 <= self.r_th < MAX_R_TH:
+            raise ValueError(f"r_th must be in [0, {MAX_R_TH:g}), got {self.r_th}")
 
     @classmethod
     def from_db(
@@ -93,8 +107,13 @@ class SystemParams:
         """Build from the dB conventions used throughout the CLI.
 
         snr_db and lambda_e_db give the mean channel gains 1/lambda in dB,
-        sigma_*_db the noise powers in dB.
+        sigma_*_db the noise powers in dB; each must pass `has_linear_value`.
         """
+        named = {"snr_db": snr_db, "lambda_e_db": lambda_e_db,
+                 "sigma_d_db": sigma_d_db, "sigma_e_db": sigma_e_db}
+        for name, x_db in named.items():
+            if not has_linear_value(x_db):
+                raise ValueError(f"{name} must be {DB_DOMAIN}, got {x_db}")
         return cls(
             k=k,
             delta=delta,

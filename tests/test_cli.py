@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -6,10 +8,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from rts_secrecy import analytics, cli
 from rts_secrecy.cli import CSV_HEADER, main, read_config
-from rts_secrecy.params import KnowledgeMode, Scheme, SystemParams
+from rts_secrecy.params import KnowledgeMode, Metric, Scheme, SystemParams
 from rts_secrecy.simulator import simulate_point
 
 
@@ -130,6 +134,94 @@ def test_largest_seed_is_accepted(capsys):
         capsys,
     )
     assert code == 0
+
+
+def assert_one_error_line(captured, flag):
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert flag in lines[0]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("lambda-e-db", "-inf"),
+        ("snr-db", "-4000"),
+        ("snr-db", "4000"),
+        ("sigma-e-db", "4000"),
+        ("snr-db", "0:nan:1"),
+        ("snr-db", "0:10:inf"),
+        ("snr-db", "0:1e300:1e-300"),
+        ("lambda-e-db", "8,50"),
+        ("rth", "2000"),
+    ],
+)
+def test_bad_value_is_one_error_line_naming_the_flag(capsys, flag, value):
+    code, captured = run(["point", f"--{flag}={value}", "--trials", "10"], capsys)
+    assert code == 1
+    assert_one_error_line(captured, flag)
+
+
+@pytest.mark.parametrize("flag", ["sigma-d-db", "sigma-e-db", "rth", "trials", "seed"])
+def test_scalar_flag_rejects_a_list(capsys, flag):
+    # the last --trials wins, so the list under test comes after the small trial count
+    code, captured = run(["point", "--trials", "10", f"--{flag}=1,2"], capsys)
+    assert code == 1
+    assert_one_error_line(captured, f"{flag} takes a single value")
+
+
+def test_scalar_config_key_rejects_a_list(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("rth = 1,3\n")
+    code, captured = run(["point", "--config", str(config), "--trials", "10"], capsys)
+    assert code == 1
+    assert_one_error_line(captured, "rth takes a single value")
+
+
+def test_unwritable_out_path_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    code, captured = run(["point", "--trials", "10", "--out", str(out)], capsys)
+    assert code == 1
+    assert_one_error_line(captured, str(out))
+
+
+def test_snr_range_is_capped_on_its_count(capsys):
+    # 10^12 + 1 points: the cap must fire before any list is built
+    code, captured = run(["point", "--snr-db", "0:1e12:1", "--trials", "10"], capsys)
+    assert code == 1
+    assert_one_error_line(captured, "more than 1000000 points")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--k", "64"],
+        ["--rth", "0"],
+        ["--rth", "1023"],
+        ["--delta", "0"],
+        ["--delta", "1"],
+        ["--snr-db", "3000", "--lambda-e-db=-3000"],
+        ["--snr-db=-3000", "--sigma-d-db", "3000", "--sigma-e-db=-3000"],
+    ],
+)
+def test_valid_extremes_run(capsys, extra):
+    code, captured = run(["point", "--trials", "10", *extra], capsys)
+    assert (code, captured.err) == (0, "")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RuntimeWarning,
+    reason="simulator._Selection.rate overflows e / lambda / sigma, with a numpy warning, "
+    "once a mean gain is about 3080 dB above its noise power",
+)
+@pytest.mark.parametrize(
+    "extra",
+    [["--snr-db", "3000", "--sigma-d-db=-3000"], ["--lambda-e-db", "3000", "--sigma-e-db=-3000"]],
+)
+def test_rate_terms_past_the_float_range_run_without_warnings(capsys, extra):
+    code, captured = run(["point", "--trials", "10", *extra], capsys)
+    assert (code, captured.err) == (0, "")
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -409,3 +501,94 @@ def test_cli_import_freezes_the_imported_heap():
 
 def test_library_import_leaves_the_heap_unfrozen():
     assert freeze_count_after("import rts_secrecy") == 0
+
+
+# A small grammar of flag values (MacIver et al., "Hypothesis: A new approach
+# to property-based testing", JOSS 4(43), 2019): numbers with nan, +-inf and
+# huge exponents, short and empty lists, bad enums and bad lo:hi:step ranges.
+# A valid range holds 3 points, so no run builds a large list.
+_NUMBERS = st.sampled_from([
+    "0", "1", "10", "-30", "1023", "2000", "3000", "-3000", "4000", "-4000",
+    "1e300", "1e-300", "1e400", "nan", "inf", "-inf", "x", "",
+])
+_RANGES = st.builds(
+    "{}:{}:{}".format,
+    st.sampled_from(["0", "nan", "a"]),
+    st.sampled_from(["60", "1e300", "inf"]),
+    st.sampled_from(["30", "1e-300", "0", "nan"]),
+)
+
+
+def _lists(tokens):
+    return st.lists(tokens, min_size=1, max_size=2).map(",".join)
+
+
+def _enum_lists(enum):
+    return _lists(st.sampled_from([member.value for member in enum] + ["bogus", "RTS", " "]))
+
+
+_FLAG_VALUES = {
+    "k": _lists(st.sampled_from(["1", "2", "3", "0", "65", "-1", "1.5", "nan", "x"])),
+    "delta": _lists(_NUMBERS),
+    "snr-db": st.one_of(_RANGES, _lists(_NUMBERS), st.sampled_from(["0:60", "1:2:3:4"])),
+    "lambda-e-db": _lists(_NUMBERS),
+    "sigma-d-db": _lists(_NUMBERS),
+    "sigma-e-db": _lists(_NUMBERS),
+    "rth": _lists(_NUMBERS),
+    "scheme": _enum_lists(Scheme),
+    "mode": _enum_lists(KnowledgeMode),
+    "metric": _enum_lists(Metric),
+    "seed": st.sampled_from(["0", "7", str(2**128 - 1), str(2**128), "-1", "1,2", "x", ""]),
+}
+_SCALARS = ("lambda-e-db", "sigma-d-db", "sigma-e-db", "rth", "trials", "seed")
+
+
+def _past_the_float_range(values):
+    """A mean gain 6000 dB above its noise power, the engine defect pinned by
+    test_rate_terms_past_the_float_range_run_without_warnings."""
+
+    def has(name, token):
+        return token in [part.strip() for part in values.get(name, "").split(",")]
+
+    return any(has(mean, "3000") and has(noise, "-3000")
+               for mean, noise in (("snr-db", "sigma-d-db"), ("lambda-e-db", "sigma-e-db")))
+
+
+@st.composite
+def _command_lines(draw):
+    """(command, {flag: value}, --check given)."""
+    # snr-db and rth are drawn more often: their ranges and overflows need rarer values
+    names = st.sampled_from(sorted(_FLAG_VALUES) + ["snr-db", "snr-db", "rth"])
+    flags = draw(st.lists(names, min_size=1, max_size=2, unique=True))
+    values = {name: draw(_FLAG_VALUES[name]) for name in flags}
+    # always given, so a run never falls back to the default 10^6 trials
+    trials = ["1", "7", "20", "1", "7", "20", "0", "2.5", "", "5,5", "nan"]
+    values["trials"] = draw(st.sampled_from(trials))
+    command = draw(st.sampled_from(["point", "sweep", "compare", "validate"]))
+    return command, values, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command_lines())
+@example(("point", {"lambda-e-db": "-inf", "trials": "1"}, False))
+@example(("point", {"snr-db": "4000", "trials": "1"}, False))
+@example(("point", {"snr-db": "0:nan:1", "trials": "1"}, False))
+@example(("point", {"snr-db": "0:1e300:1e-300", "trials": "1"}, False))
+@example(("point", {"lambda-e-db": "8,50", "trials": "1"}, False))
+@example(("point", {"rth": "2000", "trials": "1"}, False))
+def test_any_command_line_exits_cleanly(case):
+    command, values, check = case
+    assume(not _past_the_float_range(values))
+    argv = [command] + [f"--{name}={value}" for name, value in values.items()] + ["--check"] * check
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+    # a scalar flag given two values is refused, never read as its first
+    if any(len([part for part in values[name].split(",") if part.strip()]) > 1
+           for name in _SCALARS if name in values):
+        assert code == 1

@@ -31,6 +31,28 @@ def test_from_db_maps_means_and_noise():
 
 
 @pytest.mark.parametrize(
+    "name, x_db",
+    [
+        ("snr_db", 4000.0),
+        ("snr_db", -4000.0),
+        ("snr_db", -3200.0),  # 1e-320 is representable, its reciprocal is not
+        ("lambda_e_db", -math.inf),
+        ("sigma_d_db", math.nan),
+        ("sigma_e_db", 4000.0),
+    ],
+)
+def test_from_db_names_a_db_value_without_a_linear_value(name, x_db):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        SystemParams.from_db(**{"k": 2, "delta": 0.5, "snr_db": 10.0, name: x_db})
+
+
+def test_from_db_accepts_the_extremes():
+    p = SystemParams.from_db(k=64, delta=1.0, snr_db=3000.0, lambda_e_db=-3000.0,
+                             sigma_d_db=-3000.0, sigma_e_db=3000.0, r_th=0.0)
+    assert p.lambda_d == pytest.approx(1e-300) and p.sigma_e == pytest.approx(1e300)
+
+
+@pytest.mark.parametrize(
     "kwargs",
     [
         dict(k=0),
@@ -46,6 +68,7 @@ def test_from_db_maps_means_and_noise():
         dict(sigma_e=-2.0),
         dict(r_th=-0.5),
         dict(r_th=math.nan),
+        dict(r_th=1024.0),
     ],
 )
 def test_invalid_parameters_rejected(kwargs):
