@@ -3,8 +3,8 @@
 Three independent sources are provided per metric and knowledge mode:
 
 * series closed forms (fast finite sums; see the caveats below),
-* an oracle of the defining probability: exact for NZR, a closed form
-  plus one 1-D adaptive quadrature for SOP,
+* an exact oracle of the defining probability: a product formula for NZR
+  and a finite sum of non-negative terms for SOP,
 * high-SNR asymptotes (floors set by the backhaul gates alone).
 
 The oracle is the ground truth this package trusts.  The series
@@ -23,21 +23,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, TextIO
 
-from scipy import integrate
+# not called here; it stays an analytics attribute for profilers that wrap it by name
+from scipy import integrate  # noqa: F401
 
 from .params import MAX_TRANSMITTERS, KnowledgeMode, Metric, SystemParams
 from .specfun import (
     binomial,
+    exp1,
     exp_integral_ei,
+    expn,
     upper_incomplete_gamma,
 )
 
 MATCH_TOL = 1e-6
-ORACLE_ERR_BUDGET = 1e-8
-_EPSABS = 1e-13
-_EPSREL = 1e-10
-_QUAD_LIMIT = 200
-_Z_CUT = 50.0
 _RANGE_SLACK = 1e-12
 
 VERDICT_MATCH = "MATCH"
@@ -49,10 +47,8 @@ VERDICT_OUT_OF_RANGE = "OUT_OF_RANGE"
 class MetricValue:
     """One metric evaluation: raw value plus validity marker.
 
-    `ok` is False when the value is non-finite, falls outside [0, 1], or
-    the evaluator could not meet its error budget; `note` says why.  The
-    raw value is preserved either way.  `abserr` is the evaluator's error
-    estimate: 0.0 for exact values and for series, which carry none.
+    `ok` is False when the value is non-finite or falls outside [0, 1];
+    `note` says why.  The raw value is preserved either way.
     """
 
     metric: Metric
@@ -61,21 +57,15 @@ class MetricValue:
     source: str
     ok: bool = True
     note: str = ""
-    abserr: float = 0.0
 
 
 def _flag_range(mv: MetricValue) -> MetricValue:
-    """Mark a value outside [0, 1] (or non-finite) not ok.
-
-    The slack is a fixed rounding allowance plus the value's own error
-    estimate, which is how far quadrature can miss an exact 0 or 1.
-    """
+    """Mark a value outside [0, 1], beyond a fixed rounding slack, or non-finite not ok."""
     if not mv.ok:
         return mv
     if not math.isfinite(mv.value):
         return replace(mv, ok=False, note="non-finite value")
-    slack = _RANGE_SLACK + mv.abserr
-    if mv.value < -slack or mv.value > 1.0 + slack:
+    if mv.value < -_RANGE_SLACK or mv.value > 1.0 + _RANGE_SLACK:
         return replace(mv, ok=False, note="raw value outside [0, 1]")
     return mv
 
@@ -104,63 +94,8 @@ def asymptote(metric: Metric, mode: KnowledgeMode, k: int, delta: float) -> Metr
 
 
 # ---------------------------------------------------------------------------
-# oracle: exact NZR, one 1-D region integral for SOP
+# oracle: exact NZR and SOP
 # ---------------------------------------------------------------------------
-
-def _region_integral(p: SystemParams, gate_p: float) -> tuple[float, float, float, str]:
-    """Region integral R = int_0^1 (1 - g + g w)^(k-1) P(w) dw, split at w1.
-
-    x and y are the selected pair's destination and eavesdropper gains, F1
-    the single-pair ratio CDF and g = gate_p the chance a competitor is
-    live; (1 - g + g F1(x/y))^(k-1) is the chance none of the k-1
-    competitors beats the ratio x/y.  With s = x/y and w = F1(s) =
-    lambda_d s/(lambda_d s + lambda_e), the y-integral of f_D f_E over the
-    outage region x < alpha + beta y is closed form: P(w) = 1 up to
-    w_beta = F1(beta) and P(w) = 1 - e^-z (1 + z), z = c/(w - w_beta),
-    above it, where alpha = sigma_d (rho - 1), beta = rho sigma_d/sigma_e
-    and c = lambda_d lambda_e alpha/(lambda_e + lambda_d beta).
-
-    Up to w1 = min(w_beta + c/_Z_CUT, 1) P is 1 within (1 + _Z_CUT)
-    e^-_Z_CUT, so that head of R is closed form: (B - (1 - g)^k)/(g k)
-    with B = (1 - g + g w1)^k.  The tail above w1 is one quadrature over
-    tau = log((w - w_beta)/(w1 - w_beta)), in which P's rise near
-    w - w_beta = c is O(1) wide at every SNR.  There is no tail when
-    w1 = 1 (a certain outage) or c = 0 (r_th = 0: P = 0 above w_beta).
-
-    Returns (B, tail, the tail's error estimate, quadpack's message when
-    it did not converge, else "").
-    """
-    lam_d, lam_e = p.lambda_d, p.lambda_e
-    beta = p.rho * p.sigma_d / p.sigma_e
-    scale = lam_d * beta + lam_e
-    above = lam_e / scale  # 1 - w_beta
-    c = lam_d * lam_e * p.sigma_d * (p.rho - 1.0) / scale
-    gap = c / _Z_CUT  # w1 - w_beta
-    if gap >= above:
-        return 1.0, 0.0, 0.0, ""
-    g, m = gate_p, p.k - 1
-    drop = g * (above - gap)  # 1 - (1 - g + g w1)
-    if drop < 0.5:  # log1p keeps the digits of a B near 1
-        power = math.exp(p.k * math.log1p(-drop))
-    else:  # and w1 = w_beta + gap those of a small B
-        power = (1.0 - g + g * (lam_d * beta / scale + gap)) ** p.k
-    if gap == 0.0:
-        return power, 0.0, 0.0, ""
-
-    def integrand(tau: float) -> float:
-        # d = w - w_beta is exactly gap at tau = 0, where the head ends, and
-        # 1 - w = above - d keeps its digits near w = 1
-        d = gap * math.exp(tau)
-        z = c / d
-        return (1.0 - g * (above - d)) ** m * (-math.expm1(-z) - z * math.exp(-z)) * d
-
-    out = integrate.quad(
-        integrand, 0.0, math.log(above / gap),
-        epsabs=_EPSABS, epsrel=_EPSREL, limit=_QUAD_LIMIT, full_output=1,
-    )
-    message = " ".join(out[3].split()) if len(out) > 3 else ""
-    return power, out[0], out[1], message
-
 
 def nzr_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
     """Non-zero-rate probability, exact.
@@ -180,33 +115,78 @@ def nzr_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
     return MetricValue(Metric.NZR, mode, value, "exact")
 
 
-@lru_cache(maxsize=4096)
-def sop_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
-    """Outage probability: a closed-form head plus one 1-D quadrature tail.
+def _g_terms(m: int, x: float) -> list[float]:
+    """G_j = x^j Gamma(1 - j, x) for j = 0..m and x > 0 with e^-x > 0.
 
-    Transmitter j is selected and in outage with density f_D f_E times the
-    chance no competitor beats it.  With gate knowledge j must be live and
-    the all-dead atom (1 - delta)^k counts as outage; without it every
-    competitor takes part and a dead selected gate, probability 1 - delta,
-    forces a zero rate.  Either way the k symmetric choices of j add
-    k delta times the region integral (`_region_integral`).  Its closed-form
-    head joins the atom: (1 - delta + delta w1)^k with gate knowledge,
-    1 - delta + delta w1^k without, both exactly 1 when w1 = 1.
+    G_0 = e^-x and G_j = x E_j(x).  The recurrence G_(j-1) = e^-x - (j - 1)
+    G_j/x is stable downward for j <= x only, and G_j = x (e^-x - G_(j-1))/
+    (j - 1) upward for j >= x only (Gautschi, ACM TOMS 5(4), 1979; DLMF 8.8).
+    So the anchor J = min(m, ceil(x)) comes from `expn`'s continued fraction,
+    or from E1's series when x <= 1, and the other terms recur away from it.
+    """
+    emx = math.exp(-x)
+    g = [emx] * (m + 1)
+    top = min(m, math.ceil(x))
+    if top:
+        g[top] = x * (exp1(x) if top == 1 else expn(top, x))
+    for j in range(top, 1, -1):
+        g[j - 1] = emx - (j - 1) * g[j] / x
+    for j in range(top + 1, m + 1):
+        g[j] = x * (emx - g[j - 1]) / (j - 1)
+    return g
+
+
+def sop_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
+    """Outage probability, exact: a finite sum of non-negative terms.
+
+    Transmitter i is selected and in outage with density f_D f_E times the
+    chance none of the k - 1 competitors beats its ratio s = g_d/g_e:
+    (1 - g + g F1(s))^(k-1), with F1 the single-pair ratio CDF and g the
+    chance a competitor is live.  With gate knowledge (g = delta) i must be
+    live and the all-dead atom (1 - delta)^k counts as outage, so SOP = T;
+    without it (g = 1) a dead selected gate, probability 1 - delta, forces a
+    zero rate, so SOP = 1 - delta + delta T.  In w = F1(s) the g_e-integral
+    over the outage region g_d < alpha + beta g_e is closed form: 1 up to
+    w_beta = F1(beta), above it P2(c/(w - w_beta)) with P2(z) = 1 - e^-z
+    (1 + z), where alpha = sigma_d (rho - 1), beta = rho sigma_d/sigma_e and
+    c = lambda_d lambda_e alpha/(lambda_e + lambda_d beta).  Expanding the
+    weight in d = w - w_beta and integrating each power of d by parts gives,
+    with D = 1 - w_beta, A = 1 - g D, x = c/D = lambda_d (rho - 1) sigma_d
+    and G_j from `_g_terms`,
+
+        T = P2(x) + e^-x (1 + x) A^k
+            + g k c sum_{j<k} C(k-1, j) A^(k-1-j) (g D)^j G_j/(j + 1).
+
+    T = A^k when x = 0 (r_th = 0), and T = 1 once e^-x underflows: the
+    outage is then certain to double precision.
     """
     k, delta = p.k, p.delta
     available = mode is KnowledgeMode.AVAILABLE
-    power, tail, err, message = _region_integral(p, delta if available else 1.0)
-    head = power if available else 1.0 - delta + delta * power
-    err *= k * delta
-    if message:
-        ok, note = False, f"quadrature did not converge: {message}"
-    elif err > ORACLE_ERR_BUDGET:
-        ok, note = False, f"quadrature error estimate {err:.2e} exceeds budget"
+    g = delta if available else 1.0
+    lam_db = p.lambda_d * (p.rho * p.sigma_d / p.sigma_e)  # lambda_d beta, may be inf
+    above = p.lambda_e / (lam_db + p.lambda_e)  # D
+    drop = g * above  # 1 - A
+    if drop < 0.5:  # log1p keeps the digits of an A^k near 1
+        a = 1.0 - drop
+        power = math.exp(k * math.log1p(-drop))
+    else:  # and w_beta, finite here, those of a small A
+        a = 1.0 - g + g * lam_db / (lam_db + p.lambda_e)
+        power = a**k
+    x = p.lambda_d * (p.rho - 1.0) * p.sigma_d  # rho - 1 first: never inf * 0
+    emx = math.exp(-x)
+    if x == 0.0:
+        t = power
+    elif emx == 0.0:
+        t = 1.0
     else:
-        ok, note = True, ""
-    return _flag_range(
-        MetricValue(Metric.SOP, mode, head + k * delta * tail, "quadrature", ok, note, err)
-    )
+        m = k - 1
+        total = sum(
+            binomial(m, j) * a ** (m - j) * drop**j * gj / (j + 1)
+            for j, gj in enumerate(_g_terms(m, x))
+        )
+        t = -math.expm1(-x) - x * emx + emx * (1.0 + x) * power + g * k * (x * above) * total
+    value = t if available else 1.0 - delta + delta * t
+    return _flag_range(MetricValue(Metric.SOP, mode, value, "exact"))
 
 
 def oracle(p: SystemParams, metric: Metric, mode: KnowledgeMode) -> MetricValue:

@@ -134,14 +134,6 @@ class SystemParams:
         """Gain ratio g_d/g_e below which the secrecy rate is zero."""
         return self.sigma_d / self.sigma_e
 
-    def outage_gain_bound(self, g_e: float) -> float:
-        """Destination gain below which the link is in secrecy outage.
-
-        The outage region C_s < r_th is g_d < (rho*g_e + sigma_e*(rho-1))
-        * sigma_d / sigma_e for a given eavesdropper gain g_e.
-        """
-        return (self.rho * g_e + self.sigma_e * (self.rho - 1.0)) * self.sigma_d / self.sigma_e
-
 
 def secrecy_rate(g_d: float, g_e: float, sigma_d: float, sigma_e: float) -> float:
     """Instantaneous secrecy rate, log2 ratio of the two SNR terms, floored at 0."""

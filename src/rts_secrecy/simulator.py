@@ -234,7 +234,8 @@ def _scores(
         return g_d
     if scheme is Scheme.MIN_ES:
         return -g_e
-    return np.maximum(np.log2((1.0 + g_d / p.sigma_d) / (1.0 + g_e / p.sigma_e)), 0.0)
+    with np.errstate(over="ignore", divide="ignore"):  # as in `_Selection.rate`
+        return np.maximum(np.log2((1.0 + g_d / p.sigma_d) / (1.0 + g_e / p.sigma_e)), 0.0)
 
 
 def _choose(
@@ -273,11 +274,17 @@ class _Selection:
         self._lives: dict[float, np.ndarray] = {}
 
     def rate(self, p: SystemParams) -> np.ndarray:
-        """Unclamped secrecy rate of each picked link at point `p`."""
+        """Unclamped secrecy rate of each picked link at point `p`.
+
+        A gain term past the float range, about 3080 dB of mean gain over
+        noise power, overflows to inf: a rate of +-inf (log2 of inf or 0),
+        the right limit.  Only such an overflow can make log2 divide by 0.
+        """
         key = p.lambda_e, p.sigma_e
-        if key not in self._dens:
-            self._dens[key] = 1.0 + self.e_e / p.lambda_e / p.sigma_e
-        return np.log2((1.0 + self.e_d / p.lambda_d / p.sigma_d) / self._dens[key])
+        with np.errstate(over="ignore", divide="ignore"):
+            if key not in self._dens:
+                self._dens[key] = 1.0 + self.e_e / p.lambda_e / p.sigma_e
+            return np.log2((1.0 + self.e_d / p.lambda_d / p.sigma_d) / self._dens[key])
 
     def live(self, delta: float, active: np.ndarray) -> np.ndarray:
         if delta not in self._lives:

@@ -76,8 +76,8 @@ def upper_incomplete_gamma(s: int, x: float) -> float:
 
 
 def exp1(x: float) -> float:
-    """E1(x) for x > 0: power series below 1, modified Lentz continued
-    fraction above; each stops at relative change 1e-14, within 200 terms."""
+    """E1(x) for x > 0: power series below 1, `expn`'s continued fraction
+    above; the series stops at relative change 1e-14, within 200 terms."""
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"exp1 needs x > 0, got {x}")
     if x <= 1.0:
@@ -91,14 +91,23 @@ def exp1(x: float) -> float:
             if abs(contrib) < 1e-14 * abs(total) + 1e-300:
                 return total
         raise ArithmeticError(f"exp1 series did not converge for x={x}")
-    # E1(x) = e^-x / (x + 1 - 1/(x + 3 - 4/(x + 5 - 9/...)))
+    return expn(1, x)
+
+
+def expn(n: int, x: float) -> float:
+    """E_n(x) = x^(n-1) Gamma(1-n, x) for integer n >= 1 and x > 1.
+
+    Modified Lentz evaluation of E_n(x) = e^-x / (x + n - 1 n/(x + n + 2 -
+    2 (n + 1)/(x + n + 4 - ...))), stopped at relative change 1e-14 within
+    200 terms (DLMF 8.9 and 8.19; Press et al., Numerical Recipes, section 6.3).
+    """
     tiny = 1e-300
-    b = x + 1.0
+    b = x + n
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
     for i in range(1, 201):
-        a = -(i * i)
+        a = -i * (n - 1 + i)
         b += 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
@@ -106,7 +115,7 @@ def exp1(x: float) -> float:
         h *= frac
         if abs(frac - 1.0) < 1e-14:
             return h * math.exp(-x)
-    raise ArithmeticError(f"exp1 continued fraction did not converge for x={x}")
+    raise ArithmeticError(f"E_{n} continued fraction did not converge for x={x}")
 
 
 def exp_integral_ei(x: float) -> float:

@@ -1,14 +1,18 @@
-"""Nested-quadrature reference for the oracle tests.
+"""Quadrature referees for the oracle tests.
 
-This is the route the oracle took before NZR became exact and the SOP sum
-over live gates collapsed into one integral: one 2-D integral of the
-region per live-gate count q, weighted by the binomial law of q, with the
-two guards the collapsed 2-D oracle later added (see `region_integral`).
-It reaches the oracle's numbers by a different path, so the tests compare
-the two.  Every function returns (value, error estimate), and the
-estimate includes the largest inner quadrature error.  Each `quad` call
-reads quadpack's `ier`: a quadrature that did not converge raises instead
-of returning a number with a loose error estimate.
+Two routes the oracle took before it became exact, each reaching its
+numbers by a different path, so the tests compare them:
+
+* `nzr` and `sop`: one nested 2-D integral of the region per live-gate
+  count q, weighted by the binomial law of q, with the two guards the
+  collapsed 2-D oracle later added (see `region_integral`);
+* `sop_1d`: the sum over q folded into one weight, a closed-form head and
+  one 1-D quadrature tail.
+
+Every function returns (value, error estimate), and a nested estimate
+includes the largest inner quadrature error.  Each `quad` call reads
+quadpack's `ier`: a quadrature that did not converge raises instead of
+returning a number with a loose error estimate.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from rts_secrecy.params import KnowledgeMode, SystemParams
 from rts_secrecy.specfun import binomial
 
 _T_FLOOR = 1e-11  # the outer quadrature's epsabs, and its smallest breakpoint
+_Z_CUT = 50.0  # sop_1d's head ends where z = _Z_CUT
 
 
 def _quad(f: Callable[[float], float], a: float, b: float, **kw) -> tuple[float, float]:
@@ -32,6 +37,15 @@ def _quad(f: Callable[[float], float], a: float, b: float, **kw) -> tuple[float,
     if len(out) > 3:  # quadpack's message comes only with ier != 0
         raise ArithmeticError(f"quad on [{a!r}, {b!r}]: {' '.join(out[3].split())}")
     return out[0], out[1]
+
+
+def outage_gain_bound(p: SystemParams, g_e: float) -> float:
+    """Destination gain below which the link is in secrecy outage.
+
+    The outage region C_s < r_th is g_d < (rho*g_e + sigma_e*(rho-1))
+    * sigma_d / sigma_e for a given eavesdropper gain g_e.
+    """
+    return (p.rho * g_e + p.sigma_e * (p.rho - 1.0)) * p.sigma_d / p.sigma_e
 
 
 def region_integral(
@@ -83,7 +97,7 @@ def outage_region(p: SystemParams, m: int) -> tuple[float, float]:
     `sop` passes k = 1 and delta = 1, on which the region does not depend,
     so one evaluation serves every (k, delta) of a channel point.
     """
-    return region_integral(p, m, p.outage_gain_bound)
+    return region_integral(p, m, lambda g_e: outage_gain_bound(p, g_e))
 
 
 def selected_event_probability(
@@ -128,3 +142,47 @@ def sop(p: SystemParams, mode: KnowledgeMode) -> tuple[float, float]:
     if mode is KnowledgeMode.AVAILABLE:
         return p_region, err
     return (1.0 - p.delta) + p.delta * p_region, p.delta * err
+
+
+def sop_1d(p: SystemParams, mode: KnowledgeMode) -> tuple[float, float]:
+    """SOP from the region integral R = int_0^1 (1 - g + g w)^(k-1) P(w) dw.
+
+    g is the chance a competitor is live (delta with gate knowledge, else
+    1), w = F1(g_d/g_e), and P(w) is 1 up to w_beta = F1(beta), then
+    1 - e^-z (1 + z) with z = c/(w - w_beta); beta and c as in
+    `analytics.sop_oracle`.  Up to w1 = min(w_beta + c/_Z_CUT, 1) P is 1
+    within (1 + _Z_CUT) e^-_Z_CUT, so that head of R joins the gate atom in
+    closed form, B = (1 - g + g w1)^k.  The tail above w1 is one quadrature
+    over tau = log((w - w_beta)/(w1 - w_beta)), in which P's rise near
+    w - w_beta = c is O(1) wide at every SNR.  There is no tail when w1 = 1
+    (a certain outage) or c = 0 (r_th = 0).
+    """
+    k, delta = p.k, p.delta
+    available = mode is KnowledgeMode.AVAILABLE
+    g = delta if available else 1.0
+    lam_d, lam_e = p.lambda_d, p.lambda_e
+    beta = p.rho * p.sigma_d / p.sigma_e
+    scale = lam_d * beta + lam_e
+    above = lam_e / scale  # 1 - w_beta
+    c = lam_d * lam_e * p.sigma_d * (p.rho - 1.0) / scale
+    gap = c / _Z_CUT  # w1 - w_beta
+    power, tail, err = 1.0, 0.0, 0.0
+    if gap < above:
+        drop = g * (above - gap)  # 1 - (1 - g + g w1)
+        if drop < 0.5:  # log1p keeps the digits of a B near 1
+            power = math.exp(k * math.log1p(-drop))
+        else:  # and w1 = w_beta + gap those of a small B
+            power = (1.0 - g + g * (lam_d * beta / scale + gap)) ** k
+    if 0.0 < gap < above:
+
+        def integrand(tau: float) -> float:
+            # d = w - w_beta is exactly gap at tau = 0, where the head ends
+            d = gap * math.exp(tau)
+            z = c / d
+            return (1.0 - g * (above - d)) ** (k - 1) * (-math.expm1(-z) - z * math.exp(-z)) * d
+
+        tail, err = _quad(
+            integrand, 0.0, math.log(above / gap), epsabs=1e-13, epsrel=1e-10, limit=200
+        )
+    head = power if available else 1.0 - delta + delta * power
+    return head + k * delta * tail, k * delta * err

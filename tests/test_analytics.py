@@ -29,6 +29,7 @@ from rts_secrecy.analytics import (
     validate_point,
     write_validation_report,
 )
+from rts_secrecy.cli import main
 from rts_secrecy.params import KnowledgeMode, Metric, SystemParams
 
 AVAIL = KnowledgeMode.AVAILABLE
@@ -68,24 +69,37 @@ def test_oracle_values_in_range_and_converged():
                         assert 0.0 <= r.value <= 1.0
 
 
-def test_oracle_range_check_allows_its_own_error_estimate():
-    # a quadrature value a few 1e-12 above 1 lies inside its own error
-    # estimate; without that estimate it is out of range
-    above = MetricValue(Metric.SOP, UNAVAIL, 1.0 + 7e-12, "quadrature", abserr=2e-11)
-    assert analytics._flag_range(above).ok
-    flagged = analytics._flag_range(replace(above, abserr=0.0))
+def test_oracle_range_check_allows_only_rounding():
+    # a value 7e-13 above 1 is rounding; 7e-12 above 1 is out of range
+    near = MetricValue(Metric.SOP, UNAVAIL, 1.0 + 7e-13, "exact")
+    assert analytics._flag_range(near).ok
+    flagged = analytics._flag_range(replace(near, value=1.0 + 7e-12))
     assert not flagged.ok
     assert flagged.note == "raw value outside [0, 1]"
 
 
-# --- oracle routes: exact NZR, one region integral per SOP cell --------------
+# --- oracle routes: exact NZR and SOP, against the quadrature referees -------
+
+# a few ulps of a value in [0, 1]: the floating-point sums of both routes
+_ROUNDING = 4 * sys.float_info.epsilon
+# what a referee may miss beyond its own error estimate: the rounding of
+# the closed form's up to 64 terms
+_REFEREE_SLACK = 1e-14
 
 
-@pytest.fixture
-def fresh_sop_cache():
-    sop_oracle.cache_clear()
-    yield
-    sop_oracle.cache_clear()
+def test_outage_gain_bound_linear_in_eavesdropper_gain():
+    p = SystemParams(k=1, delta=1.0, lambda_d=1.0, lambda_e=1.0, sigma_d=2.0, sigma_e=8.0, r_th=1.0)
+    # bound(g_e) = (rho g_e + sigma_e (rho - 1)) sigma_d / sigma_e
+    assert reference.outage_gain_bound(p, 0.0) == pytest.approx((0.0 + 8.0) * 0.25)
+    assert reference.outage_gain_bound(p, 4.0) == pytest.approx((2.0 * 4.0 + 8.0) * 0.25)
+    slope = (reference.outage_gain_bound(p, 5.0) - reference.outage_gain_bound(p, 1.0)) / 4.0
+    assert slope == pytest.approx(p.rho * p.sigma_d / p.sigma_e)
+
+
+def test_outage_bound_degenerates_to_ratio_threshold_at_zero_threshold():
+    p = SystemParams(k=1, delta=1.0, lambda_d=1.0, lambda_e=1.0, sigma_d=2.0, sigma_e=8.0, r_th=0.0)
+    for g_e in (0.5, 1.0, 7.0):
+        assert reference.outage_gain_bound(p, g_e) == pytest.approx(p.ratio_threshold * g_e)
 
 
 def test_nzr_exact_matches_nested_quadrature_on_validate_grid():
@@ -95,7 +109,7 @@ def test_nzr_exact_matches_nested_quadrature_on_validate_grid():
                 p = SystemParams.from_db(k=k, delta=delta, snr_db=snr)
                 for mode in KnowledgeMode:
                     exact = nzr_oracle(p, mode)
-                    assert (exact.source, exact.abserr) == ("exact", 0.0)
+                    assert exact.source == "exact"
                     assert exact.value == pytest.approx(reference.nzr(p, mode)[0], abs=1e-10)
 
 
@@ -106,7 +120,7 @@ def test_collapsed_sop_matches_binomial_q_loop(k, snr):
     collapsed = sop_oracle(p, AVAIL)
     value, err = reference.sop(p, AVAIL)
     assert collapsed.ok, collapsed.note
-    assert abs(collapsed.value - value) <= collapsed.abserr + err
+    assert abs(collapsed.value - value) <= err + _REFEREE_SLACK
 
 
 @pytest.mark.parametrize("mode", list(KnowledgeMode))
@@ -146,55 +160,122 @@ SOP_REFEREES = [
 def test_sop_matches_mpmath_referee_within_its_error_estimate(kwargs, expected):
     r = sop_oracle(SystemParams.from_db(**kwargs), AVAIL)
     assert r.ok, r.note
-    assert abs(r.value - expected) <= min(r.abserr, 1e-12)
+    assert abs(r.value - expected) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize("k", [2, 16])
 @pytest.mark.parametrize("mode", list(KnowledgeMode))
 def test_sop_certain_outage_at_low_snr_and_high_threshold(k, mode):
     # at -30 dB a destination gain above the outage bound has probability
-    # below e^-8000, so the outage is certain; the inner interval in
-    # lambda_d x is 8800 long, enough to hide f_D's peak between nodes
+    # below e^-8000 (x = lambda_d (rho - 1) sigma_d = 8800), so the outage is
+    # certain to double precision
     r = sop_oracle(SystemParams.from_db(k=k, delta=0.9, snr_db=-30.0, r_th=3.0), mode)
     assert r.ok, r.note
-    assert abs(r.value - 1.0) <= r.abserr
+    assert r.value == 1.0
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_unconverged_quadrature_is_not_ok(monkeypatch, fresh_sop_cache):
-    monkeypatch.setattr(analytics, "_QUAD_LIMIT", 1)
-    r = sop_oracle(SystemParams.from_db(k=3, delta=0.9, snr_db=20.0), AVAIL)
-    assert not r.ok
-    assert "maximum number of subdivisions (1)" in r.note
+def test_not_ok_sop_oracle_makes_its_validate_rows_undocumented(monkeypatch):
+    def not_ok(p, mode):
+        return MetricValue(Metric.SOP, mode, math.nan, "exact", False, "forced")
+
+    monkeypatch.setattr(analytics, "sop_oracle", not_ok)
+    rows = validate_point(SystemParams.from_db(k=3, delta=0.9, snr_db=20.0), 20.0)
+    for row in rows:
+        if row.metric is Metric.SOP:
+            assert not row.documented
+            assert "oracle: forced" in row.note
+        else:
+            assert row.documented
+    assert summarize_validation(rows)["UNDOCUMENTED"] == 2
+
+
+class _NoQuadrature:
+    """Stands in for `scipy.integrate` inside `analytics`; any `quad` call fails."""
+
+    def quad(self, *args, **kwargs):
+        raise AssertionError("the oracle ran a quadrature")
+
+
+class _CountingGTerms:
+    """Wraps `analytics._g_terms`, recording how many G_j each call returns."""
+
+    def __init__(self, g_terms):
+        self._g_terms = g_terms
+        self.sizes = []
+
+    def __call__(self, m, x):
+        out = self._g_terms(m, x)
+        self.sizes.append(len(out))
+        return out
 
 
 @pytest.mark.parametrize("k", [1, 16, 64])
-def test_each_sop_cell_integrates_one_region(monkeypatch, fresh_sop_cache, k):
-    calls = []
-    real = analytics._region_integral
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(analytics, "_region_integral", counting)
+def test_each_sop_cell_integrates_one_region(monkeypatch, k):
+    # the outage region above w_beta is one finite sum: one G_j list per SOP
+    # cell, none for NZR, and no quadrature for either
+    counter = _CountingGTerms(analytics._g_terms)
+    monkeypatch.setattr(analytics, "_g_terms", counter)
+    monkeypatch.setattr(analytics, "integrate", _NoQuadrature())
     p = SystemParams.from_db(k=k, delta=0.9, snr_db=20.0)
     for mode in KnowledgeMode:
-        calls.clear()
+        counter.sizes.clear()
         sop_oracle(p, mode)
-        assert len(calls) == 1
-        calls.clear()
+        assert counter.sizes == [k]
+        counter.sizes.clear()
         nzr_oracle(p, mode)
-        assert calls == []
+        assert counter.sizes == []
 
 
-# --- the 1-D SOP oracle over the valid domain --------------------------------
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 64])
+def test_sop_cell_integrand_evaluations_are_bounded(monkeypatch, k):
+    # no integrand is evaluated at all; a cell's work is at most one list of k G_j
+    counter = _CountingGTerms(analytics._g_terms)
+    monkeypatch.setattr(analytics, "_g_terms", counter)
+    monkeypatch.setattr(analytics, "integrate", _NoQuadrature())
+    for snr in range(-30, 81, 10):
+        for r_th in (0.0, 1.0, 3.0):
+            for delta in (0.0, 0.9, 1.0):
+                p = SystemParams.from_db(k=k, delta=delta, snr_db=float(snr), r_th=r_th)
+                for mode in KnowledgeMode:
+                    counter.sizes.clear()
+                    r = sop_oracle(p, mode)
+                    assert r.ok, r.note
+                    assert counter.sizes in ([], [k]), (snr, r_th, delta, mode)
+                    if r_th == 0.0:  # x = 0: T = A^k, no sum
+                        assert counter.sizes == []
 
-# a few ulps of a value in [0, 1]: the floating-point sums of both routes
-_ROUNDING = 4 * sys.float_info.epsilon
-# 15 applications of the 21-point Gauss-Kronrod rule; the most seen over
-# k 1-64, delta 0-1, -30 to 80 dB, r_th 0-6 and three noise settings is 231
-_NEVAL_BOUND = 21 * 15
+
+def test_no_quadrature_runs(monkeypatch, tmp_path):
+    # the default validate grid: both metrics and modes, k 1-5, three deltas and SNRs
+    monkeypatch.setattr(analytics, "integrate", _NoQuadrature())
+    out = tmp_path / "validate.csv"
+    assert main(["validate", "--trials", "100", "--out", str(out)]) == 0
+    assert "undocumented=0" in out.read_text()
+
+
+# x^j Gamma(1 - j, x) at 90 digits; at 40, mpmath's gammainc(-62, 200) is 5e-77, not 1e-87
+@pytest.fixture(scope="module")
+def g_referee():
+    mp = pytest.importorskip("mpmath")
+    xs = [1e-8, 1e-3, 0.5, 1.0, 1.0 + 2**-52, 1.5, 2.5, 7.3, 19.999, 20.0, 31.5, 62.5, 63.5,
+          150.0, 700.0]
+    with mp.workdps(90):
+        return {
+            x: [float(mp.mpf(x) ** j * mp.gammainc(1 - j, mp.mpf(x))) for j in range(64)]
+            for x in xs
+        }
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 19, 63])
+def test_g_terms_match_mpmath(g_referee, m):
+    # downward and upward recurrences meet at a different anchor for each m
+    for x, expected in g_referee.items():
+        got = analytics._g_terms(m, x)
+        assert len(got) == m + 1
+        for j, (value, ref) in enumerate(zip(got, expected)):
+            assert abs(value - ref) <= 1e-13 * ref, (x, j)
+
+
 WIDE_SNRS = [-30.0, -10.0, 10.0, 30.0, 50.0, 80.0]
 
 
@@ -210,7 +291,7 @@ def test_sop_matches_nested_reference_on_wide_grid(snr, r_th):
                 r = sop_oracle(p, mode)
                 value, err = reference.sop(p, mode)
                 assert r.ok, r.note
-                assert abs(r.value - value) <= r.abserr + err + _ROUNDING, (k, delta, mode)
+                assert abs(r.value - value) <= err + _REFEREE_SLACK, (k, delta, mode)
 
 
 @pytest.mark.parametrize("mode", list(KnowledgeMode))
@@ -220,47 +301,13 @@ def test_zero_threshold_sop_and_nzr_sum_to_one(mode, k, delta):
     for snr in WIDE_SNRS:
         p = SystemParams.from_db(k=k, delta=delta, snr_db=snr, r_th=0.0)
         sop = sop_oracle(p, mode)
-        assert sop.abserr == 0.0  # closed form: no tail above w_beta
         assert abs(sop.value + nzr_oracle(p, mode).value - 1.0) <= 1e-12
 
 
-class _CountingIntegrate:
-    """Stands in for `scipy.integrate` inside `analytics`, summing quadpack's
-    `neval` and error estimates."""
-
-    def __init__(self, integrate):
-        self._integrate = integrate
-        self.neval = 0
-        self.abserr = 0.0
-
-    def quad(self, *args, **kwargs):
-        out = self._integrate.quad(*args, **kwargs)
-        self.neval += out[2]["neval"]
-        self.abserr += out[1]
-        return out
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 64])
-def test_sop_cell_integrand_evaluations_are_bounded(monkeypatch, fresh_sop_cache, k):
-    counter = _CountingIntegrate(analytics.integrate)
-    monkeypatch.setattr(analytics, "integrate", counter)
-    for snr in range(-30, 81, 10):
-        for r_th in (0.0, 1.0, 3.0):
-            for delta in (0.0, 0.9, 1.0):
-                p = SystemParams.from_db(k=k, delta=delta, snr_db=float(snr), r_th=r_th)
-                for mode in KnowledgeMode:
-                    counter.neval, counter.abserr = 0, 0.0
-                    r = sop_oracle(p, mode)
-                    assert r.ok, r.note
-                    assert counter.neval <= _NEVAL_BOUND, (snr, r_th, delta, mode)
-                    # the tail's estimate, weighted like the tail itself
-                    assert r.abserr == k * delta * counter.abserr
-
-
-# near-certain outages at k = 64, found by the properties below: a head
-# power rounded as a plain pow, or a head and tail that meet at two
-# different w1, put these values up to 1.4e-14 above 1, beyond their
-# error estimates
+# near-certain outages at k = 64, found by the properties below when SOP
+# was a head and a quadrature tail: a head power rounded as a plain pow, or
+# a head and tail that met at two different w1, put these values up to
+# 1.4e-14 above 1
 NEAR_CERTAIN = [
     dict(k=64, delta=0.25, snr_db=-16.0, lambda_e_db=0.0, sigma_d_db=0.0, sigma_e_db=0.0),
     dict(
@@ -276,7 +323,7 @@ def test_near_certain_outage_stays_within_its_estimate_of_one(kwargs):
     for mode in KnowledgeMode:
         r = sop_oracle(SystemParams.from_db(**kwargs), mode)
         assert r.ok, r.note
-        assert r.value <= 1.0 + r.abserr
+        assert r.value <= 1.0 + _ROUNDING
 
 
 _DOMAIN = dict(
@@ -293,14 +340,36 @@ _DOMAIN = dict(
 @settings(max_examples=150, deadline=None)
 @given(**_DOMAIN)
 def test_oracle_values_are_ok_and_probabilities(**kwargs):
-    # in [0, 1] up to the value's own error estimate: the oracle does not
-    # clamp, and a near-certain outage can land a few 1e-16 above 1
+    # a sum of non-negative terms, in [0, 1] up to rounding: the oracle does
+    # not clamp, and a near-certain outage can land a few 1e-16 above 1
     p = SystemParams.from_db(**kwargs)
     for metric in Metric:
         for mode in KnowledgeMode:
             r = oracle(p, metric, mode)
             assert r.ok, r.note
-            assert -r.abserr <= r.value <= 1.0 + r.abserr
+            assert 0.0 <= r.value <= 1.0 + _ROUNDING
+
+
+@settings(max_examples=100, deadline=None)
+@given(default_noise=st.booleans(), **_DOMAIN)
+def test_sop_closed_form_agrees_with_both_referees(default_noise, **kwargs):
+    # the nested referee is trusted at the default noise powers and lambda_e
+    # only (elsewhere its inner cut at lambda_d x = 50 can drop mass), and
+    # at r_th = 0 or >= 0.1: nearer 0 its outer layer is thinner than one
+    # float step below t = 1, and its inner integrand divides by y = 0
+    nested = default_noise and (kwargs["r_th"] == 0.0 or kwargs["r_th"] >= 0.1)
+    if default_noise:
+        for name in ("lambda_e_db", "sigma_d_db", "sigma_e_db"):
+            del kwargs[name]
+    p = SystemParams.from_db(**kwargs)
+    for mode in KnowledgeMode:
+        r = sop_oracle(p, mode)
+        value, err = reference.sop_1d(p, mode)
+        assert abs(r.value - value) <= err + _REFEREE_SLACK, ("1-D", mode)
+        # one nested region per live-gate count: k of them with gate knowledge
+        if nested and (mode is UNAVAIL or p.k <= 3):
+            value, err = reference.sop(p, mode)
+            assert abs(r.value - value) <= err + _REFEREE_SLACK, ("nested", mode)
 
 
 @settings(max_examples=150, deadline=None)
@@ -311,7 +380,7 @@ def test_sop_non_increasing_in_snr(step, **kwargs):
     high = SystemParams.from_db(**kwargs)
     for mode in KnowledgeMode:
         a, b = sop_oracle(low, mode), sop_oracle(high, mode)
-        assert b.value <= a.value + a.abserr + b.abserr + _ROUNDING
+        assert b.value <= a.value + _ROUNDING
 
 
 @settings(max_examples=150, deadline=None)
@@ -494,8 +563,8 @@ def test_classify_verdicts():
     from rts_secrecy.analytics import MetricValue
 
     good = MetricValue(Metric.NZR, AVAIL, 0.5, "series")
-    target = MetricValue(Metric.NZR, AVAIL, 0.5 + 5e-7, "quadrature")
-    far = MetricValue(Metric.NZR, AVAIL, 0.6, "quadrature")
+    target = MetricValue(Metric.NZR, AVAIL, 0.5 + 5e-7, "exact")
+    far = MetricValue(Metric.NZR, AVAIL, 0.6, "exact")
     bad = MetricValue(Metric.NZR, AVAIL, 7.0, "series", ok=False, note="out")
     assert classify(good, target) == VERDICT_MATCH
     assert classify(good, far) == VERDICT_MISMATCH

@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rts_secrecy import analytics, cli
@@ -49,9 +49,8 @@ def test_sweep_row_count_and_schema(tmp_path):
         assert r["analytic"] != ""
         assert r["asymptote"] != ""
         assert r["trials"] == "2000"
-        # provenance names the route: NZR is exact, SOP is quadrature
-        source = "exact" if r["metric"] == "nzr" else "quadrature"
-        assert f"analytic={source}" in r["flags"].split(";")
+        # provenance names the route: both oracles are exact
+        assert "analytic=exact" in r["flags"].split(";")
 
 
 def test_sweep_grid_order_is_nested(tmp_path):
@@ -209,19 +208,30 @@ def test_valid_extremes_run(capsys, extra):
     assert (code, captured.err) == (0, "")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RuntimeWarning,
-    reason="simulator._Selection.rate overflows e / lambda / sigma, with a numpy warning, "
-    "once a mean gain is about 3080 dB above its noise power",
-)
 @pytest.mark.parametrize(
     "extra",
     [["--snr-db", "3000", "--sigma-d-db=-3000"], ["--lambda-e-db", "3000", "--sigma-e-db=-3000"]],
 )
 def test_rate_terms_past_the_float_range_run_without_warnings(capsys, extra):
+    # a mean gain about 3080 dB above its noise power overflows to a rate of +-inf
     code, captured = run(["point", "--trials", "10", *extra], capsys)
     assert (code, captured.err) == (0, "")
+
+
+def test_sop_is_one_where_sigma_d_lambda_d_overflows(capsys):
+    # every gate is dead (delta = 0) and r_th = 0: SOP is exactly 1, although
+    # lambda_d sigma_d = 1e330 overflows and rho - 1 is 0
+    code, captured = run(
+        ["point", "--trials", "5", "--snr-db=-300", "--lambda-e-db=30", "--sigma-d-db=3000",
+         "--sigma-e-db=3000", "--rth=0", "--k=3", "--delta=0"],
+        capsys,
+    )
+    assert (code, captured.err) == (0, "")
+    blocks = captured.out.split("rts ")[1:]
+    sop = [block for block in blocks if block.split(":")[0].endswith(" sop")]
+    assert len(sop) == 2  # both modes
+    for block in sop:
+        assert "  exact      = 1.0\n" in block
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -301,18 +311,16 @@ def test_validate_report_and_exit(tmp_path):
         assert r["simulated"] != ""
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_validate_check_fails_on_an_unconverged_oracle(tmp_path, monkeypatch):
-    monkeypatch.setattr(analytics, "_QUAD_LIMIT", 1)
-    analytics.sop_oracle.cache_clear()
-    try:
-        out = tmp_path / "validate.csv"
-        code = main([
-            "validate", "--k", "3", "--delta", "0.9", "--snr-db", "20",
-            "--trials", "1000", "--out", str(out), "--check",
-        ])
-    finally:
-        analytics.sop_oracle.cache_clear()
+    def not_ok(p, mode):
+        return analytics.MetricValue(Metric.SOP, mode, 0.5, "exact", False, "forced not ok")
+
+    monkeypatch.setattr(analytics, "sop_oracle", not_ok)
+    out = tmp_path / "validate.csv"
+    code = main([
+        "validate", "--k", "3", "--delta", "0.9", "--snr-db", "20",
+        "--trials", "1000", "--out", str(out), "--check",
+    ])
     assert code == 2
     text = out.read_text()
     assert "undocumented=2" in text
@@ -320,8 +328,7 @@ def test_validate_check_fails_on_an_unconverged_oracle(tmp_path, monkeypatch):
     for r in read_rows(out):
         if r["metric"] == "sop":
             assert r["documented"] == "NO"
-            assert "oracle: " in r["note"]
-            assert "maximum number of subdivisions (1)" in r["note"]
+            assert "oracle: forced not ok" in r["note"]
         else:
             assert r["documented"] == "yes"
             assert "oracle" not in r["note"]
@@ -406,7 +413,7 @@ def test_point_prints_all_sources(capsys):
     )
     assert code == 0
     assert "series" in captured.out
-    assert "quadrature" in captured.out
+    assert "exact" in captured.out
     assert "asymptote" in captured.out
     assert "simulated" in captured.out
 
@@ -543,17 +550,6 @@ _FLAG_VALUES = {
 _SCALARS = ("lambda-e-db", "sigma-d-db", "sigma-e-db", "rth", "trials", "seed")
 
 
-def _past_the_float_range(values):
-    """A mean gain 6000 dB above its noise power, the engine defect pinned by
-    test_rate_terms_past_the_float_range_run_without_warnings."""
-
-    def has(name, token):
-        return token in [part.strip() for part in values.get(name, "").split(",")]
-
-    return any(has(mean, "3000") and has(noise, "-3000")
-               for mean, noise in (("snr-db", "sigma-d-db"), ("lambda-e-db", "sigma-e-db")))
-
-
 @st.composite
 def _command_lines(draw):
     """(command, {flag: value}, --check given)."""
@@ -576,9 +572,10 @@ def _command_lines(draw):
 @example(("point", {"snr-db": "0:1e300:1e-300", "trials": "1"}, False))
 @example(("point", {"lambda-e-db": "8,50", "trials": "1"}, False))
 @example(("point", {"rth": "2000", "trials": "1"}, False))
+@example(("compare", {"snr-db": "3000", "sigma-d-db": "-3000", "trials": "1"}, True))
+@example(("sweep", {"lambda-e-db": "3000", "sigma-e-db": "-3000", "trials": "1"}, False))
 def test_any_command_line_exits_cleanly(case):
     command, values, check = case
-    assume(not _past_the_float_range(values))
     argv = [command] + [f"--{name}={value}" for name, value in values.items()] + ["--check"] * check
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

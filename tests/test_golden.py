@@ -5,8 +5,10 @@ that preceded the streaming grid engine; any change to how the stream is
 consumed, how estimates are formatted or how the grid is ordered shows up
 here as a byte difference.  The oracle fields (`analytic`, `oracle`,
 `abs_diff` and the provenance flag) were rewritten when NZR became exact
-and SOP one region integral, and `analytic`, `oracle` and `abs_diff` again
-when that integral became one 1-D quadrature; no other field changed then.
+and SOP one region integral, `analytic`, `oracle` and `abs_diff` again
+when that integral became one 1-D quadrature, and the SOP rows' oracle
+fields and flag once more when SOP became an exact finite sum
+(`analytic=exact`); no other field changed then.
 """
 from pathlib import Path
 

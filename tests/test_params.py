@@ -91,21 +91,6 @@ def test_ratio_threshold_is_noise_ratio():
     assert p.ratio_threshold == pytest.approx(0.25)
 
 
-def test_outage_gain_bound_linear_in_eavesdropper_gain():
-    p = SystemParams(k=1, delta=1.0, lambda_d=1.0, lambda_e=1.0, sigma_d=2.0, sigma_e=8.0, r_th=1.0)
-    # bound(g_e) = (rho g_e + sigma_e (rho - 1)) sigma_d / sigma_e
-    assert p.outage_gain_bound(0.0) == pytest.approx((0.0 + 8.0) * 0.25)
-    assert p.outage_gain_bound(4.0) == pytest.approx((2.0 * 4.0 + 8.0) * 0.25)
-    slope = (p.outage_gain_bound(5.0) - p.outage_gain_bound(1.0)) / 4.0
-    assert slope == pytest.approx(p.rho * p.sigma_d / p.sigma_e)
-
-
-def test_outage_bound_degenerates_to_ratio_threshold_at_zero_threshold():
-    p = SystemParams(k=1, delta=1.0, lambda_d=1.0, lambda_e=1.0, sigma_d=2.0, sigma_e=8.0, r_th=0.0)
-    for g_e in (0.5, 1.0, 7.0):
-        assert p.outage_gain_bound(g_e) == pytest.approx(p.ratio_threshold * g_e)
-
-
 def test_secrecy_rate_formula_and_clamp():
     # equal SNRs give rate 0; dominant destination SNR gives the log2 ratio
     assert secrecy_rate(1.0, 2.0, 1.0, 2.0) == 0.0

@@ -7,6 +7,7 @@ from rts_secrecy.specfun import (
     binomial,
     exp1,
     exp_integral_ei,
+    expn,
     lower_incomplete_gamma,
     upper_incomplete_gamma,
 )
@@ -107,6 +108,12 @@ def test_non_positive_order_domain():
 @pytest.mark.parametrize("x", [0.01, 0.5, 1.0, 1.5, 5.0, 30.0, 100.0, 700.0])
 def test_exp1_against_scipy(x):
     assert exp1(x) == pytest.approx(special.exp1(x), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 63])
+def test_expn_against_scipy(n):
+    for x in (1.0 + 2**-52, 1.5, 7.3, 63.5, 700.0):
+        assert expn(n, x) == pytest.approx(special.expn(n, x), rel=1e-13)
 
 
 def test_exp1_series_cf_crossover_is_smooth():
