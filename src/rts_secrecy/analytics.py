@@ -97,6 +97,21 @@ def asymptote(metric: Metric, mode: KnowledgeMode, k: int, delta: float) -> Metr
 # oracle: exact NZR and SOP
 # ---------------------------------------------------------------------------
 
+def _scaled(expr: Callable[..., float], powers: Sequence[int], *values: float) -> float:
+    """expr(*values), a product of the values raised to `powers`, with no intermediate out of range.
+
+    expr runs on the binary mantissas (frexp) and the exponents are put back
+    once (ldexp).  Scaling by 2^n commutes with rounding in the normal range,
+    so where every operation of expr(*values) is normal this is its value
+    bit for bit; only the final scaling can overflow (inf) or underflow.
+    """
+    parts = [math.frexp(v) for v in values]
+    try:
+        return math.ldexp(expr(*(m for m, _ in parts)), sum(n * e for n, (_, e) in zip(powers, parts)))
+    except OverflowError:
+        return math.inf
+
+
 def nzr_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
     """Non-zero-rate probability, exact.
 
@@ -105,10 +120,11 @@ def nzr_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
     chance one live pair's ratio exceeds c.  With gate knowledge the
     largest live ratio must exceed c: 1 - (1 - delta t)^k.  Without it the
     largest of all k ratios must, and its gate must be up:
-    delta (1 - (1 - t)^k).  expm1/log1p keep the digits of small values.
+    delta (1 - (1 - t)^k).  expm1/log1p keep the digits of small values,
+    and `_scaled` those of lambda_d c where c alone is out of range.
     """
-    c = p.ratio_threshold
-    t = p.lambda_e / (p.lambda_d * c + p.lambda_e)
+    lam_dc = _scaled(lambda l, d, e: l * (d / e), (1, 1, -1), p.lambda_d, p.sigma_d, p.sigma_e)
+    t = p.lambda_e / (lam_dc + p.lambda_e)
     gate_p, weight = (p.delta, 1.0) if mode is KnowledgeMode.AVAILABLE else (1.0, p.delta)
     live_t = gate_p * t
     value = weight * (1.0 if live_t >= 1.0 else -math.expm1(p.k * math.log1p(-live_t)))
@@ -158,12 +174,15 @@ def sop_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
             + g k c sum_{j<k} C(k-1, j) A^(k-1-j) (g D)^j G_j/(j + 1).
 
     T = A^k when x = 0 (r_th = 0), and T = 1 once e^-x underflows: the
-    outage is then certain to double precision.
+    outage is then certain to double precision.  lambda_d beta and x are
+    `_scaled`: beta or lambda_d (rho - 1) alone can leave the float range.
     """
     k, delta = p.k, p.delta
     available = mode is KnowledgeMode.AVAILABLE
     g = delta if available else 1.0
-    lam_db = p.lambda_d * (p.rho * p.sigma_d / p.sigma_e)  # lambda_d beta, may be inf
+    lam_db = _scaled(  # lambda_d beta
+        lambda l, r, d, e: l * (r * d / e), (1, 1, 1, -1), p.lambda_d, p.rho, p.sigma_d, p.sigma_e
+    )
     above = p.lambda_e / (lam_db + p.lambda_e)  # D
     drop = g * above  # 1 - A
     if drop < 0.5:  # log1p keeps the digits of an A^k near 1
@@ -172,7 +191,7 @@ def sop_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
     else:  # and w_beta, finite here, those of a small A
         a = 1.0 - g + g * lam_db / (lam_db + p.lambda_e)
         power = a**k
-    x = p.lambda_d * (p.rho - 1.0) * p.sigma_d  # rho - 1 first: never inf * 0
+    x = _scaled(lambda l, r, d: l * r * d, (1, 1, 1), p.lambda_d, p.rho - 1.0, p.sigma_d)
     emx = math.exp(-x)
     if x == 0.0:
         t = power

@@ -430,7 +430,8 @@ def _block_outcomes(
     """
     k = p.k
     e_d, e_e = _unit_gains(u, k)
-    g_d, g_e = e_d / p.lambda_d, e_e / p.lambda_e
+    with np.errstate(over="ignore"):  # a gain past the float range is +inf, as in `simulate_grid`
+        g_d, g_e = e_d / p.lambda_d, e_e / p.lambda_e
     active = _gates(u, k, p.delta)
     if mode is KnowledgeMode.AVAILABLE:
         transmitted = active.any(axis=0)
@@ -446,12 +447,7 @@ def _block_outcomes(
 
 
 def _all_outcomes(
-    p: SystemParams,
-    scheme: Scheme,
-    mode: KnowledgeMode,
-    trials: int,
-    seed: int,
-    block: int = DEFAULT_BLOCK,
+    p: SystemParams, scheme: Scheme, mode: KnowledgeMode, trials: int, seed: int, block: int = DEFAULT_BLOCK
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (rates, transmitted, outage) arrays for `trials` trials: the reference of `simulate_grid`."""
     _check_run(trials, block)
@@ -459,36 +455,31 @@ def _all_outcomes(
         _block_outcomes(p, scheme, mode, uniform_block(seed, p.k, start, min(block, trials - start)))
         for start in range(0, trials, block)
     ]
-    rates, transmitted, outage = (np.concatenate(parts) for parts in zip(*blocks))
-    return rates, transmitted, outage
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def outage_indicators(
-    p: SystemParams,
-    scheme: Scheme,
-    mode: KnowledgeMode,
-    trials: int,
-    seed: int,
-    block: int = DEFAULT_BLOCK,
+    p: SystemParams, scheme: Scheme, mode: KnowledgeMode, trials: int, seed: int, block: int = DEFAULT_BLOCK
 ) -> np.ndarray:
     """Per-trial outage indicator array (dead or silent trials included)."""
     return _all_outcomes(p, scheme, mode, trials, seed, block)[2]
 
 
 def _selection_key(p: SystemParams, scheme: Scheme, mode: KnowledgeMode) -> tuple:
-    """Everything the selection of `scheme` reads, as exact float values.
+    """(route, scheme, mode, reads, gate): points with equal keys share one selection.
 
-    Points with equal keys share one selection.  rts and tts are scale-free:
-    while the lambdas they read lie in `_SAFE_LAMBDA` their key holds no
-    lambda (None), and the engine picks once on the unit gains, certified
-    per trial by a relative margin (`_certified_choose`); each point
-    re-selects the trials that fail it on its own scaled gains.  The optimal
-    rule's key holds None for lambda_d while its lambdas and noise powers
-    lie in that range: its points share picks along the lambda_d axis,
-    certified at anchor lambda_d (`_ratio_top`, `_anchored_plan`).  Other
-    keys share only bit-identical scores: outside that range rounding
-    E_d / lambda_d could turn a strict order into a tie and move the
-    lowest-index argmax.
+    `reads` holds, as exact float values, what the route reads of a point.
+    "unit": rts and tts are scale-free; while the lambdas they read lie in
+    `_SAFE_LAMBDA` the engine picks once on the unit gains, certified per
+    trial by a relative margin (`_certified_choose`), and each point
+    re-selects the trials that fail it on its own scaled gains.
+    "anchored": the optimal rule, with its lambdas and noise powers in that
+    range, shares picks along the lambda_d axis, certified at anchor
+    lambda_d (`_ratio_top`, `_anchored_plan`); `reads` omits lambda_d.
+    "own": min-es, and any rule outside that range, selects on the point's
+    own scaled gains and shares only bit-identical scores: outside the
+    range rounding E_d / lambda_d could turn a strict order into a tie and
+    move the lowest-index argmax.
     """
     reads = {
         Scheme.RTS: (p.lambda_d, p.lambda_e),
@@ -497,13 +488,14 @@ def _selection_key(p: SystemParams, scheme: Scheme, mode: KnowledgeMode) -> tupl
         Scheme.OPTIMAL: (p.lambda_d, p.lambda_e, p.sigma_d, p.sigma_e),
     }[scheme]
     low, high = _SAFE_LAMBDA
-    if all(low <= x <= high for x in reads):
-        if scheme in (Scheme.RTS, Scheme.TTS):
-            reads = None
-        elif scheme is Scheme.OPTIMAL:
-            reads = (None, *reads[1:])
+    if scheme is Scheme.MIN_ES or not all(low <= x <= high for x in reads):
+        route = "own"
+    elif scheme is Scheme.OPTIMAL:
+        route, reads = "anchored", reads[1:]
+    else:
+        route, reads = "unit", ()
     gate = p.delta if mode is KnowledgeMode.AVAILABLE else None
-    return scheme, mode, reads, gate
+    return route, scheme, mode, reads, gate
 
 
 def _estimates(nzr_hits: int, sop_hits: int, trials: int, seed: int) -> dict[Metric, MetricEstimate]:
@@ -524,15 +516,17 @@ def simulate_grid(
     """Both metric estimates for every (params, scheme, mode) point, in order.
 
     All points must share k, so they read one stream (seed, k), which is
-    walked once.  Per block the uniforms are generated once, mapped to
+    walked once.  Before the walk the points are grouped once by
+    `_selection_key`, and within a group by position on its lambda_d
+    axis: one position unless the route is "anchored", whose positions
+    run upward.  Per block the uniforms are generated once, mapped to
     unit-mean exponential gains once per side and to a gate mask and score
-    penalty once per distinct delta, all in (k, block) layout.  Points
-    with equal `_selection_key` share one plan: an (anchor, picks, trials
-    to re-select) per position on the key's lambda_d axis, which has one
-    position unless the key is an optimal one (`_anchored_plan`), and each
-    anchor's picks make one `_Selection`.  Each point adds only its rate
-    numerator, its re-selection of the trials its shared pick does not
-    certify, and its hit counts.  Memory is O(block)
+    penalty once per distinct delta, all in (k, block) layout.  Per group
+    the block gets one plan, an (anchor, picks, trials to re-select) per
+    position (`_certified_choose`, `_anchored_plan` or the point's own
+    scaled gains), and each anchor's picks make one `_Selection`.  Each
+    point adds only its rate numerator, its re-selection of the trials its
+    shared pick does not certify, and its hit counts.  Memory is O(block)
     whatever `trials` and the number of points, and every estimate equals
     `simulate_point` on that point alone, at any block size.
     """
@@ -541,69 +535,56 @@ def simulate_grid(
     if len(ks) != 1:
         raise ValueError(f"points must share one k, got {sorted(ks)}")
     (k,) = ks
-    # sorted by lambda_d: an optimal key walks its axis upward
-    order = sorted(range(len(points)), key=lambda i: points[i][0].lambda_d)
-    keys = [_selection_key(*point) for point in points]
-    last_use = {keys[i]: i for i in order}
-    axes: dict[tuple, dict] = {}  # per key: its sorted lambda_d axis (None: one pick) -> position
-    spot = {}
-    for i in order:
-        axis = axes.setdefault(keys[i], {})
-        anchored = keys[i][2] is not None and keys[i][2][0] is None  # optimal, lambdas in range
-        spot[i] = axis.setdefault(points[i][0].lambda_d if anchored else None, len(axis))
+    groups: dict[tuple, dict] = {}  # key -> lambda_d position (None: one pick) -> its points
+    for i in sorted(range(len(points)), key=lambda i: points[i][0].lambda_d):
+        key = _selection_key(*points[i])
+        position = points[i][0].lambda_d if key[0] == "anchored" else None
+        groups.setdefault(key, {}).setdefault(position, []).append(i)
     deltas = {p.delta for p, _, _ in points}
     nzr_hits = [0] * len(points)
     sop_hits = [0] * len(points)
-    no_redo = np.empty(0, dtype=np.intp)
     for start in range(0, trials, block):
-        count = min(block, trials - start)
-        u = uniform_block(seed, k, start, count)
+        u = uniform_block(seed, k, start, min(block, trials - start))
         e_d, e_e = _unit_gains(u, k)
         gates = {delta: _gates(u, k, delta) for delta in deltas}
         del u  # the largest array of a block, not needed past this point
         penalties = {delta: _penalty(active) for delta, active in gates.items()}
         unit_zero = _zeros(e_e)
-        chosen: dict[tuple, tuple] = {}  # key -> (plan: (anchor, sel, redo) per position, fallback, built)
-        for i in order:
-            p, scheme, mode = points[i]
-            active = gates[p.delta]
-            penalty = penalties[p.delta] if mode is KnowledgeMode.AVAILABLE else None
-            key = keys[i]
-            if key not in chosen:
-                fallback = None
-                if key[2] is None:  # scale-free rule: one pick on the unit gains
-                    plan = [(0, *_certified_choose(scheme, e_d, e_e, unit_zero, penalty))]
-                elif key[2][0] is None:  # optimal: picks certified at anchor lambda_d
-                    fallback = 0 if penalty is None else active.argmax(axis=0).astype(np.uint8)
-                    inv = _inverse_snr(e_e, p, penalty)  # (k, block), freed once the anchors are made
-                    plan = _anchored_plan(e_d, list(axes[key]), p.sigma_d, inv, fallback)
-                    del inv
-                else:  # min-es, and lambdas outside the safe range: the point's own scaled gains
-                    g_e = e_e / p.lambda_e
-                    plan = [(0, _choose(p, scheme, e_d / p.lambda_d, g_e, _zeros(g_e), penalty), no_redo)]
-                chosen[key] = plan, fallback, {}
-            plan, fallback, built = chosen.pop(key) if last_use[key] == i else chosen[key]
-            anchor, sel, redo = plan[spot[i]]
-            if anchor not in built:
-                built.clear()  # points come in lambda_d order: earlier anchors are done
-                built[anchor] = _Selection(sel, e_d, e_e)
-            shared = built[anchor]
-            raw, live = shared.rate(p), shared.live(p.delta, active)
-            if fallback is not None and p.r_th == 0.0:  # at a shared rate of exactly 0 the clamp picks
-                # the fallback link (see `_anchored_plan`), which is dead or has a rate below 0: an outage
-                raw[(sel != fallback) & (raw == 0.0)] = -np.inf
-            if redo.size:  # trials the shared pick does not certify: this point's own pick
-                g_d, g_e = e_d[:, redo] / p.lambda_d, e_e[:, redo] / p.lambda_e
-                own = _choose(p, scheme, g_d, g_e, _zeros(g_e), None if penalty is None else penalty[:, redo])
-                own = _Selection(own, e_d, e_e, trials=redo)
-                raw[redo] = own.rate(p)
-                live = live.copy()
-                live[redo] = own.live(p.delta, active)
-            nzr_hits[i] += int(np.count_nonzero(live & (raw > 0.0)))
-            sop_hits[i] += int(np.count_nonzero(~live | (raw < p.r_th)))
-    return [
-        _estimates(nzr, sop, trials, seed) for nzr, sop in zip(nzr_hits, sop_hits)
-    ]
+        for (route, *_), axis in groups.items():
+            lead, scheme, mode = points[next(iter(axis.values()))[0]]  # what the key holds
+            penalty = penalties[lead.delta] if mode is KnowledgeMode.AVAILABLE else None
+            if route == "unit":
+                plan = [(0, *_certified_choose(scheme, e_d, e_e, unit_zero, penalty))]
+            elif route == "anchored":
+                fallback = 0 if penalty is None else gates[lead.delta].argmax(axis=0).astype(np.uint8)
+                inv = _inverse_snr(e_e, lead, penalty)  # (k, block): freed once `_anchored_plan` returns
+                plan = _anchored_plan(e_d, list(axis), lead.sigma_d, inv, fallback)
+                del inv
+            else:
+                with np.errstate(over="ignore"):  # a gain past the float range is +inf
+                    g_d, g_e = e_d / lead.lambda_d, e_e / lead.lambda_e
+                plan = [(0, _choose(lead, scheme, g_d, g_e, _zeros(g_e), penalty), ())]
+            for t, ((anchor, sel, redo), members) in enumerate(zip(plan, axis.values())):
+                if anchor == t:  # an anchor's position precedes those that share its picks
+                    shared = _Selection(sel, e_d, e_e)
+                for i in members:
+                    p = points[i][0]
+                    active = gates[p.delta]
+                    raw, live = shared.rate(p), shared.live(p.delta, active)
+                    if route == "anchored" and p.r_th == 0.0:  # at a shared rate of exactly 0 the
+                        # clamp picks the fallback link (`_anchored_plan`), dead or below rate 0: an outage
+                        raw[(sel != fallback) & (raw == 0.0)] = -np.inf
+                    if len(redo):  # trials the shared pick does not certify: this point's own pick
+                        g_d, g_e = e_d[:, redo] / p.lambda_d, e_e[:, redo] / p.lambda_e
+                        gated = None if penalty is None else penalty[:, redo]
+                        own = _choose(p, scheme, g_d, g_e, _zeros(g_e), gated)
+                        own = _Selection(own, e_d, e_e, trials=redo)
+                        raw[redo] = own.rate(p)
+                        live = live.copy()
+                        live[redo] = own.live(p.delta, active)
+                    nzr_hits[i] += int(np.count_nonzero(live & (raw > 0.0)))
+                    sop_hits[i] += int(np.count_nonzero(~live | (raw < p.r_th)))
+    return [_estimates(nzr, sop, trials, seed) for nzr, sop in zip(nzr_hits, sop_hits)]
 
 
 def simulate_point(
@@ -616,4 +597,3 @@ def simulate_point(
 ) -> dict[Metric, MetricEstimate]:
     """Both metric estimates for one point; a one-point `simulate_grid`."""
     return simulate_grid([(p, scheme, mode)], trials, seed, block)[0]
-

@@ -4,15 +4,15 @@ Two routes the oracle took before it became exact, each reaching its
 numbers by a different path, so the tests compare them:
 
 * `nzr` and `sop`: one nested 2-D integral of the region per live-gate
-  count q, weighted by the binomial law of q, with the two guards the
-  collapsed 2-D oracle later added (see `region_integral`);
+  count q, weighted by the binomial law of q, both integrals in log
+  variables (see `region_integral`);
 * `sop_1d`: the sum over q folded into one weight, a closed-form head and
   one 1-D quadrature tail.
 
 Every function returns (value, error estimate), and a nested estimate
-includes the largest inner quadrature error.  Each `quad` call reads
-quadpack's `ier`: a quadrature that did not converge raises instead of
-returning a number with a loose error estimate.
+includes the largest inner quadrature error and the mass its ends drop.
+Each `quad` call reads quadpack's `ier`: a quadrature that did not
+converge raises instead of returning a number with a loose error estimate.
 """
 from __future__ import annotations
 
@@ -23,11 +23,12 @@ from typing import Callable
 
 from scipy import integrate
 
-from rts_secrecy.distributions import single_ratio_cdf
 from rts_secrecy.params import KnowledgeMode, SystemParams
 from rts_secrecy.specfun import binomial
 
-_T_FLOOR = 1e-11  # the outer quadrature's epsabs, and its smallest breakpoint
+_E_FLOOR = 1e-16  # lambda x from which `region_integral` integrates, on both sides
+_E_CEIL = 50.0  # and up to which
+_LOG_FLOOR = math.log(_E_FLOOR)
 _Z_CUT = 50.0  # sop_1d's head ends where z = _Z_CUT
 
 
@@ -51,43 +52,42 @@ def outage_gain_bound(p: SystemParams, g_e: float) -> float:
 def region_integral(
     p: SystemParams, m: int, x_bound: Callable[[float], float]
 ) -> tuple[float, float]:
-    """Integral of f_D(x) f_E(y) F1(x/y)^m over {x < x_bound(y)}.
+    """Integral of f_D(x) f_E(y) F1(x/y)^m over {x < x_bound(y)}, in log variables.
 
-    The inner x-interval stops at lambda_d x = 50 (dropped mass below
-    e^-50), so that at low SNR its nodes cannot miss f_D's peak next to 0.
-    It breaks at x = lambda_e y / lambda_d, where F1(x/y) = 1/2: for small y
-    F1^m rises from 0 over a layer that thin next to x = 0.
-    The outer loop runs over t = exp(-lambda_e y) with breakpoints at
-    lambda_e y = lambda_d x_bound(0) 2^j, j = -3..5: at high SNR the region
-    has a thin layer next to t = 1 that the quadrature can step over unseen.
-    Breakpoints t <= _T_FLOOR are dropped.  The piece [0, t] adds at most t,
-    because the inner integral is a probability, while at low SNR those
-    points crowd next to 0 (down to t = 7e-307 at -10 dB and r_th = 3),
-    and quadpack then reported extremely bad integrand behaviour.
+    The outer integral runs over s = log(lambda_e y) and the inner one over
+    r = log(lambda_d x), so f_E(y) dy = e^(s - e^s) ds, f_D(x) dx the same
+    in r, and F1(x/y) = 1/(1 + e^(s - r)).  In these variables every
+    feature of the integrand is O(1) wide however thin it is in x or y:
+    the rise of F1^m near r = s + log m (the inner integral breaks at
+    r = s, where F1 = 1/2), and the edge where lambda_d x_bound(y) is
+    O(1), which at low SNR or a threshold near 0 sits at a tiny y.  Each
+    integral runs from e^r = _E_FLOOR to e^r = _E_CEIL; the mass it drops
+    below and above, _E_FLOOR + e^-_E_CEIL at most, joins the error
+    estimate twice (the inner integral is a probability), and so does the
+    largest inner quadrature error.
     """
     lam_d, lam_e = p.lambda_d, p.lambda_e
     inner_err = 0.0
 
-    def inner(y: float) -> float:
+    def inner(s: float) -> float:
         nonlocal inner_err
-        hi = min(x_bound(y), 50.0 / lam_d)
-        if hi <= 0.0:
+        top = lam_d * x_bound(math.exp(s) / lam_e)
+        if top <= _E_FLOOR:  # the region's mass here is below 1 - e^-top
             return 0.0
-        half = lam_e * y / lam_d
+        hi = math.log(min(top, _E_CEIL))
         val, err = _quad(
-            lambda x: lam_d * math.exp(-lam_d * x) * single_ratio_cdf(x / y, lam_d, lam_e) ** m,
-            0.0, hi, epsabs=1e-12, epsrel=1e-10, limit=200, points=[half] if 0.0 < half < hi else None,
+            lambda r: math.exp(r - math.exp(r) - m * math.log1p(math.exp(s - r))),
+            _LOG_FLOOR, hi, epsabs=1e-13, epsrel=1e-10, limit=200,
+            points=[s] if _LOG_FLOOR < s < hi - 1e-6 else None,  # a break at an end upsets quadpack
         )
         inner_err = max(inner_err, err)
         return val
 
-    layer = lam_d * x_bound(0.0)
-    points = sorted(t for t in {math.exp(-layer * 2.0**j) for j in range(-3, 6)} if _T_FLOOR < t < 1.0)
     val, err = _quad(
-        lambda t: inner(-math.log(t) / lam_e), 0.0, 1.0, epsabs=_T_FLOOR, epsrel=1e-10, limit=200,
-        points=points or None,
+        lambda s: math.exp(s - math.exp(s)) * inner(s), _LOG_FLOOR, math.log(_E_CEIL),
+        epsabs=1e-13, epsrel=1e-10, limit=200,
     )
-    return val, err + inner_err
+    return val, err + inner_err + 2.0 * (_E_FLOOR + math.exp(-_E_CEIL))
 
 
 @lru_cache(maxsize=None)

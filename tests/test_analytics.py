@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 import quadrature_reference as reference
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rts_secrecy import analytics
@@ -138,6 +138,30 @@ def test_nzr_matches_mpmath_at_extremes(mode, delta, snr):
         else:
             expected = float(d * (1 - f1**p.k))
     assert abs(nzr_oracle(p, mode).value - expected) <= 1e-13 * abs(expected)
+
+
+def test_oracles_where_an_intermediate_product_overflows():
+    # at 3080 dB with sigma_e at -3000 dB, c = sigma_d / sigma_e = 1e310 and
+    # beta = rho c overflow, while lambda_d c = 100 and lambda_d beta = 200
+    mp = pytest.importorskip("mpmath")
+    p = SystemParams.from_db(k=3, delta=1.0, snr_db=3080.0, sigma_d_db=100.0, sigma_e_db=-3000.0, r_th=1.0)
+    with mp.workdps(40):
+        lam_d, lam_e, s_d, s_e, rho = (mp.mpf(v) for v in (p.lambda_d, p.lambda_e, p.sigma_d, p.sigma_e, p.rho))
+        t = lam_e / (lam_d * s_d / s_e + lam_e)
+        nzr = float(1 - (1 - t) ** p.k)
+        lam_db = lam_d * rho * s_d / s_e
+        d = lam_e / (lam_db + lam_e)  # D = 1 - w_beta
+        c = lam_d * lam_e * s_d * (rho - 1) / (lam_e + lam_db)
+        # the region integral over w > w_beta, with z = c / (w - w_beta)
+        tail = mp.quad(
+            lambda z: (1 - d + c / z) ** (p.k - 1) * mp.gammainc(2, 0, z, regularized=True) / z**2,
+            [c / d, 1, mp.inf],
+        )
+        sop = float((1 - d) ** p.k + p.k * c * tail)
+    assert round(nzr, 7) == 0.0047396 and round(sop, 8) == 0.99762642
+    for mode in KnowledgeMode:  # delta = 1: the modes coincide
+        assert abs(nzr_oracle(p, mode).value - nzr) <= 1e-12 * nzr
+        assert abs(sop_oracle(p, mode).value - sop) <= 1e-12 * sop
 
 
 def test_nzr_when_every_ratio_clears_the_threshold():
@@ -352,12 +376,13 @@ def test_oracle_values_are_ok_and_probabilities(**kwargs):
 
 @settings(max_examples=100, deadline=None)
 @given(default_noise=st.booleans(), **_DOMAIN)
+# the nested referee once missed the thin outer layer of the first (1.0
+# against 0.99993691) and divided by y = 0 at the second
+@example(default_noise=False, k=1, delta=1.0, snr_db=-27.0, r_th=0.0, lambda_e_db=0.0, sigma_d_db=5.0,
+         sigma_e_db=-10.0)
+@example(default_noise=False, k=1, delta=1.0, snr_db=0.0, r_th=1e-14, lambda_e_db=0.0, sigma_d_db=0.0,
+         sigma_e_db=0.0)
 def test_sop_closed_form_agrees_with_both_referees(default_noise, **kwargs):
-    # the nested referee is trusted at the default noise powers and lambda_e
-    # only (elsewhere its inner cut at lambda_d x = 50 can drop mass), and
-    # at r_th = 0 or >= 0.1: nearer 0 its outer layer is thinner than one
-    # float step below t = 1, and its inner integrand divides by y = 0
-    nested = default_noise and (kwargs["r_th"] == 0.0 or kwargs["r_th"] >= 0.1)
     if default_noise:
         for name in ("lambda_e_db", "sigma_d_db", "sigma_e_db"):
             del kwargs[name]
@@ -367,7 +392,7 @@ def test_sop_closed_form_agrees_with_both_referees(default_noise, **kwargs):
         value, err = reference.sop_1d(p, mode)
         assert abs(r.value - value) <= err + _REFEREE_SLACK, ("1-D", mode)
         # one nested region per live-gate count: k of them with gate knowledge
-        if nested and (mode is UNAVAIL or p.k <= 3):
+        if mode is UNAVAIL or p.k <= 3:
             value, err = reference.sop(p, mode)
             assert abs(r.value - value) <= err + _REFEREE_SLACK, ("nested", mode)
 

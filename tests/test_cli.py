@@ -234,6 +234,19 @@ def test_sop_is_one_where_sigma_d_lambda_d_overflows(capsys):
         assert "  exact      = 1.0\n" in block
 
 
+def test_simulator_overflow_is_reported_by_check(capsys):
+    # the oracles are right here (see tests/test_analytics.py), while the
+    # simulator's e_d / lambda_d overflows before its / sigma_d: the check
+    # must say so
+    code, captured = run(
+        ["point", "--trials", "2000", "--snr-db", "3080", "--sigma-d-db", "100", "--sigma-e-db=-3000",
+         "--rth", "1", "--delta", "1", "--k", "3", "--check"],
+        capsys,
+    )
+    assert (code, captured.err) == (2, "")
+    assert "  check      = fail\n" in captured.out
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, captured = run(["frobnicate"], capsys)
     assert code == 1
@@ -574,6 +587,8 @@ def _command_lines(draw):
 @example(("point", {"rth": "2000", "trials": "1"}, False))
 @example(("compare", {"snr-db": "3000", "sigma-d-db": "-3000", "trials": "1"}, True))
 @example(("sweep", {"lambda-e-db": "3000", "sigma-e-db": "-3000", "trials": "1"}, False))
+@example(("point", {"snr-db": "3080", "sigma-d-db": "100", "sigma-e-db": "-3000", "rth": "1", "delta": "1",
+                    "k": "3", "trials": "2000"}, False))
 def test_any_command_line_exits_cleanly(case):
     command, values, check = case
     argv = [command] + [f"--{name}={value}" for name, value in values.items()] + ["--check"] * check

@@ -111,6 +111,27 @@ def test_grid_engine_equals_point_by_point(block, trials):
     assert simulate_grid(points, trials, seed=19, block=block) == expected
 
 
+def test_grid_engine_groups_shuffled_repeated_points():
+    """Grouping by selection key keeps every point's own estimate, in the caller's order.
+
+    The grid comes shuffled, some points twice, and the unavailable-mode
+    points at four deltas share one key per scheme and route.
+    """
+    shared = [
+        (params(delta=delta, snr_db=snr), scheme, UNAVAIL)
+        for delta in (0.1, 0.35, 0.6, 1.0)
+        for snr in (5.0, 15.0)
+        for scheme in Scheme
+    ]
+    points = mixed_grid() + shared
+    points += points[::5]
+    np.random.default_rng(7).shuffle(points)
+    keys = {simulator._selection_key(*point) for point in shared}
+    assert len(keys) == len(Scheme)  # 4 deltas and 2 SNRs share each scheme's key
+    expected = [simulate_point(p, s, m, 2500, seed=23) for p, s, m in points]
+    assert simulate_grid(points, 2500, seed=23, block=1000) == expected
+
+
 def test_grid_engine_counts_match_per_trial_arrays():
     trials = 3000
     points = mixed_grid(k=2)
@@ -429,11 +450,14 @@ def test_extreme_lambdas_select_on_their_own_gains():
         extreme = p.lambda_d > 1e100 or p.lambda_d < 1e-100
         if scheme is Scheme.RTS:
             extreme |= p.lambda_e > 1e100 or p.lambda_e < 1e-100
+        route = simulator._selection_key(p, scheme, mode)[0]
         if scheme in (Scheme.RTS, Scheme.TTS):
-            assert (simulator._selection_key(p, scheme, mode)[2] is None) is not extreme
+            assert route == ("own" if extreme else "unit")
         if scheme is Scheme.OPTIMAL:  # shared along lambda_d only while both lambdas are in range
             extreme |= p.lambda_e > 1e100 or p.lambda_e < 1e-100
-            assert (simulator._selection_key(p, scheme, mode)[2][0] is None) is not extreme
+            assert route == ("own" if extreme else "anchored")
+        if scheme is Scheme.MIN_ES:
+            assert route == "own"
     u = uniform_block(seed=1, k=3, start=0, count=400)
     _assert_engine_is_reference(points, u)
 
