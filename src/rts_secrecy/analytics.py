@@ -436,22 +436,22 @@ class ValidationRow:
     std_err: float | None = None
 
 
-def classify(series: MetricValue, oracle_value: MetricValue, tol: float = MATCH_TOL) -> str:
+def classify(series: MetricValue, oracle_value: MetricValue) -> str:
     """MATCH / MISMATCH / OUT_OF_RANGE verdict for one series-vs-oracle cell."""
     if not series.ok:
         return VERDICT_OUT_OF_RANGE
     diff = abs(series.value - oracle_value.value)
-    return VERDICT_MATCH if diff <= tol else VERDICT_MISMATCH
+    return VERDICT_MATCH if diff <= MATCH_TOL else VERDICT_MISMATCH
 
 
-def validate_point(p: SystemParams, snr_db: float, tol: float = MATCH_TOL) -> list[ValidationRow]:
+def validate_point(p: SystemParams, snr_db: float) -> list[ValidationRow]:
     """Verdict rows for all four metric/mode cells at one parameter point."""
     rows = []
     for metric in (Metric.NZR, Metric.SOP):
         for mode in (KnowledgeMode.AVAILABLE, KnowledgeMode.UNAVAILABLE):
             series = closed_form(p, metric, mode)
             orc = oracle(p, metric, mode)
-            verdict = classify(series, orc, tol)
+            verdict = classify(series, orc)
             reason = documented_series_deviation(metric, mode, p.k)
             # a verdict against an oracle that failed is not documented
             documented = orc.ok and (verdict == VERDICT_MATCH or reason is not None)

@@ -141,5 +141,5 @@ def secrecy_rate(g_d: float, g_e: float, sigma_d: float, sigma_e: float) -> floa
         raise ValueError("channel gains must be non-negative")
     if sigma_d <= 0.0 or sigma_e <= 0.0:
         raise ValueError("noise powers must be positive")
-    rate = math.log2((1.0 + g_d / sigma_d) / (1.0 + g_e / sigma_e))
-    return rate if rate > 0.0 else 0.0
+    ratio = (1.0 + g_d / sigma_d) / (1.0 + g_e / sigma_e)  # 0 or NaN once g_e overflows to inf
+    return math.log2(ratio) if ratio > 1.0 else 0.0

@@ -24,11 +24,9 @@ from .params import KnowledgeMode, Metric, Scheme, SystemParams, secrecy_rate
 DEFAULT_BLOCK = 1 << 14
 _WORDS_PER_COUNTER_STEP = 4
 _PIECE_WORDS = 1 << 15  # values per piece when a block's gains are transposed
-# rts and tts picks made on unit gains, and optimal picks, are shared across
-# these lambdas (and noise powers); outside them every point selects on its
-# own gains (see `_certified_choose` and `_ratio_top`)
+# optimal picks are shared along lambda_d while its lambdas and noise powers lie
+# in this range; outside it each point selects on its own gains (see `_ratio_top`)
 _SAFE_LAMBDA = (1e-100, 1e100)
-_MARGIN = 1.0 + 2.0**-49  # 1 + 16u, u = 2^-53: certifies a unit-gain pick
 _RATIO_MARGIN = 1.0 + 2.0**-30  # certifies an optimal pick along the lambda_d axis
 _LOG2_ERROR = 2.0**-40  # assumed bound on |numpy log2(x) - log2(x)|, x a positive normal
 # bisect a run of the optimal rule's SNR axis while its inner points would re-select
@@ -179,12 +177,6 @@ def _penalty(active: np.ndarray) -> np.ndarray:
     return np.where(active, 0.0, -np.inf)
 
 
-def _zeros(g_e: np.ndarray) -> np.ndarray | None:
-    """Mask of g_e == 0 (where rts scores +inf), or None when there is none."""
-    zero = g_e == 0.0
-    return zero if zero.any() else None
-
-
 def _first_argmax(
     score: np.ndarray, penalty: np.ndarray | None = None, margin: float | None = None
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,7 +190,7 @@ def _first_argmax(
     k, k-1, ..., 1 that finds the first of them.  With a `margin` M > 1 it
     returns (pick, unique, top): `top` is the column maximum, and `unique`
     says exactly one row has score >= fl(top / M); for top >= 0 that is the
-    top row itself and no other (see `_certified_choose`).
+    top row itself and no other (see `_ratio_top`).
     """
     k = score.shape[0]
     if penalty is not None:
@@ -217,42 +209,33 @@ def _first_argmax(
     return pick, first.sum(axis=0, dtype=np.uint8) == 1, top
 
 
-def _scores(
-    p: SystemParams | None, scheme: Scheme, g_d: np.ndarray, g_e: np.ndarray, zero: np.ndarray | None
+def _choose(
+    p: SystemParams, scheme: Scheme, e_d: np.ndarray, e_e: np.ndarray, penalty: np.ndarray | None
 ) -> np.ndarray:
-    """Per-link scores of `scheme` from (k, trials) gains, as `_score` computes them.
+    """Selected transmitter per trial from (k, trials) unit gains; ties go to the lowest index.
 
-    `zero` is `_zeros(g_e)`; only the optimal rule reads `p` (its noise powers).
+    rts, tts and min-es are scale-free: a point's g = e / lambda multiplies
+    every score of a trial by one positive constant, so they pick on the
+    unit scores e_d / e_e (+inf where e_e == 0, 0/0 included), e_d and -e_e,
+    at every point alike.  Only the optimal rule reads `p`: it scores the
+    clamped rate of the scaled gains, 0 where both of its terms overflow
+    (inf / inf), as `secrecy_rate` does.  `penalty` is None without gate
+    knowledge; with it dead transmitters score -inf, and when every gate is
+    down the pick is index 0, which is dead and so never counts as live.
     """
     if scheme is Scheme.RTS:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            score = g_d / g_e  # an overflow scores +inf and ties, as in `_score`
-        if zero is not None:
-            score[zero] = np.inf  # as in `_score`, 0/0 included
-        return score
-    if scheme is Scheme.TTS:
-        return g_d
-    if scheme is Scheme.MIN_ES:
-        return -g_e
-    with np.errstate(over="ignore", divide="ignore"):  # as in `_Selection.rate`
-        return np.maximum(np.log2((1.0 + g_d / p.sigma_d) / (1.0 + g_e / p.sigma_e)), 0.0)
-
-
-def _choose(
-    p: SystemParams,
-    scheme: Scheme,
-    g_d: np.ndarray,
-    g_e: np.ndarray,
-    zero: np.ndarray | None,
-    penalty: np.ndarray | None,
-) -> np.ndarray:
-    """Selected transmitter per trial from (k, trials) gains; ties go to the lowest index.
-
-    `zero` is `_zeros(g_e)`.  `penalty` is None without gate knowledge; with
-    it dead transmitters score -inf, and when every gate is down the pick is
-    index 0, which is dead and so never counts as live.
-    """
-    return _first_argmax(_scores(p, scheme, g_d, g_e, zero), penalty)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = e_d / e_e
+        score[e_e == 0.0] = np.inf  # as in `_score`, 0/0 included
+    elif scheme is Scheme.TTS:
+        score = e_d
+    elif scheme is Scheme.MIN_ES:
+        score = -e_e
+    else:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # as in `_Selection.rate`
+            rate = np.log2((1.0 + e_d / p.lambda_d / p.sigma_d) / (1.0 + e_e / p.lambda_e / p.sigma_e))
+        score = np.fmax(rate, 0.0)  # NaN to 0
+    return _first_argmax(score, penalty)
 
 
 class _Selection:
@@ -278,10 +261,11 @@ class _Selection:
 
         A gain term past the float range, about 3080 dB of mean gain over
         noise power, overflows to inf: a rate of +-inf (log2 of inf or 0),
-        the right limit.  Only such an overflow can make log2 divide by 0.
+        the right limit, or NaN where both terms overflow (inf / inf), which
+        counts as neither a non-zero rate nor an outage.
         """
         key = p.lambda_e, p.sigma_e
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if key not in self._dens:
                 self._dens[key] = 1.0 + self.e_e / p.lambda_e / p.sigma_e
             return np.log2((1.0 + self.e_d / p.lambda_d / p.sigma_d) / self._dens[key])
@@ -290,43 +274,6 @@ class _Selection:
         if delta not in self._lives:
             self._lives[delta] = active.take(self.pick)
         return self._lives[delta]
-
-
-def _certified_choose(
-    scheme: Scheme, e_d: np.ndarray, e_e: np.ndarray, zero: np.ndarray | None, penalty: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """rts or tts pick per trial on unit gains, and the trials it is not certified for.
-
-    `zero` is `_zeros(e_e)` and `penalty` as in `_choose`.  Both rules are
-    scale-free: g = e / lambda scales every score of a trial by one
-    constant, so in exact arithmetic the pick is the same at every lambda.
-    In floating point the unit rts score is s = fl(e_d / e_e) and the scaled
-    one S = fl(fl(e_d / lambda_d) / fl(e_e / lambda_e)).  With each result
-    normal, every fl has relative error at most u = 2^-53, so
-
-        S = s (lambda_e / lambda_d) (1 + eta),  (1 - u)^2 / (1 + u)^2 <= 1 + eta <= (1 + u)^2 / (1 - u)^2,
-
-    |eta| <= 4u + O(u^2), with one constant lambda_e / lambda_d for the whole
-    trial (tts: S = fl(e_d / lambda_d), |eta| <= 2u + O(u^2)).  A trial is
-    certified when every live score s other than its best s1 lies below
-    fl(s1 / _MARGIN), so s < s1 (1 + u) / (1 + 16u) and
-    s1 > s (1 + 16u) / (1 + u) > s (1 + u)^4 / (1 - u)^4 (the ratio of the
-    two sides is 1 + 7u + O(u^2)): then S1 > S strictly, and the scaled
-    first argmax is the same row.  Also certified: a single live link, an
-    all-dead trial (pick 0 either way), and a unique +inf (e_e == 0, which
-    holds exactly when g_e == 0).  Not certified: exact finite ties, a top
-    score of 0 and several +inf.
-
-    Normal results: Philox uniforms are multiples of 2^-53 in [0, 1), so a
-    unit gain is 0 or in [2^-53, 53 ln 2] = [1.1e-16, 36.74], s is 0, +inf or
-    in [3.0e-18, 3.3e17], and s1 / _MARGIN is normal.  g is normal for
-    lambda in [2.0e-307, 5.0e291] and S for lambda_e / lambda_d in
-    [7.4e-291, 5.4e290], which holds for both lambdas in [1/L, L] with
-    L <= 1.17e145; `_SAFE_LAMBDA` takes L = 1e100.  g_e then underflows to 0
-    only where e_e is 0, and S overflows nowhere.
-    """
-    sel, unique, top = _first_argmax(_scores(None, scheme, e_d, e_e, zero), penalty, _MARGIN)
-    return sel, np.flatnonzero(~unique & (top > -np.inf))
 
 
 def _inverse_snr(e_e: np.ndarray, p: SystemParams, penalty: np.ndarray | None) -> np.ndarray:
@@ -421,17 +368,15 @@ def _block_outcomes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial outcomes of one point over a block of uniform rows.
 
-    Returns (rates, transmitted, outage).  Mirrors `select` exactly: same
-    gain mapping, same scores, and argmax ties resolving to the lowest
-    index.  The outage indicator compares the unclamped rate to the
-    threshold, so equality at the clamp (an atom when the threshold is
-    zero) stays a measure-zero boundary; dead or silent trials always
-    count as outages.
+    Returns (rates, transmitted, outage).  Mirrors `select` exactly, fed
+    the unit gains for the scale-free rules (`_choose`): same scores, and
+    argmax ties resolving to the lowest index.  The outage indicator
+    compares the unclamped rate to the threshold, so equality at the clamp
+    (an atom when the threshold is zero) stays a measure-zero boundary;
+    dead or silent trials always count as outages.
     """
     k = p.k
     e_d, e_e = _unit_gains(u, k)
-    with np.errstate(over="ignore"):  # a gain past the float range is +inf, as in `simulate_grid`
-        g_d, g_e = e_d / p.lambda_d, e_e / p.lambda_e
     active = _gates(u, k, p.delta)
     if mode is KnowledgeMode.AVAILABLE:
         transmitted = active.any(axis=0)
@@ -439,7 +384,7 @@ def _block_outcomes(
     else:
         transmitted = np.ones(u.shape[0], dtype=bool)
         penalty = None
-    link = _Selection(_choose(p, scheme, g_d, g_e, _zeros(g_e), penalty), e_d, e_e)
+    link = _Selection(_choose(p, scheme, e_d, e_e, penalty), e_d, e_e)
     raw, live = link.rate(p), link.live(p.delta, active)
     rate = np.where(live, np.maximum(raw, 0.0), 0.0)
     outage = np.where(live, raw < p.r_th, True)
@@ -469,31 +414,20 @@ def _selection_key(p: SystemParams, scheme: Scheme, mode: KnowledgeMode) -> tupl
     """(route, scheme, mode, reads, gate): points with equal keys share one selection.
 
     `reads` holds, as exact float values, what the route reads of a point.
-    "unit": rts and tts are scale-free; while the lambdas they read lie in
-    `_SAFE_LAMBDA` the engine picks once on the unit gains, certified per
-    trial by a relative margin (`_certified_choose`), and each point
-    re-selects the trials that fail it on its own scaled gains.
-    "anchored": the optimal rule, with its lambdas and noise powers in that
-    range, shares picks along the lambda_d axis, certified at anchor
-    lambda_d (`_ratio_top`, `_anchored_plan`); `reads` omits lambda_d.
-    "own": min-es, and any rule outside that range, selects on the point's
-    own scaled gains and shares only bit-identical scores: outside the
-    range rounding E_d / lambda_d could turn a strict order into a tie and
-    move the lowest-index argmax.
+    "unit": rts, tts and min-es pick on the unit gains (`_choose`), once
+    for every point.  "anchored": the optimal rule, with its lambdas and
+    noise powers in `_SAFE_LAMBDA`, shares picks along the lambda_d axis,
+    certified at anchor lambda_d (`_ratio_top`, `_anchored_plan`); `reads`
+    omits lambda_d.  "own": the optimal rule outside that range selects on
+    the point's own scaled gains and shares only bit-identical scores.
     """
-    reads = {
-        Scheme.RTS: (p.lambda_d, p.lambda_e),
-        Scheme.TTS: (p.lambda_d,),
-        Scheme.MIN_ES: (p.lambda_e,),
-        Scheme.OPTIMAL: (p.lambda_d, p.lambda_e, p.sigma_d, p.sigma_e),
-    }[scheme]
-    low, high = _SAFE_LAMBDA
-    if scheme is Scheme.MIN_ES or not all(low <= x <= high for x in reads):
-        route = "own"
-    elif scheme is Scheme.OPTIMAL:
+    reads = (p.lambda_d, p.lambda_e, p.sigma_d, p.sigma_e)
+    if scheme is not Scheme.OPTIMAL:
+        route, reads = "unit", ()
+    elif all(_SAFE_LAMBDA[0] <= x <= _SAFE_LAMBDA[1] for x in reads):
         route, reads = "anchored", reads[1:]
     else:
-        route, reads = "unit", ()
+        route = "own"
     gate = p.delta if mode is KnowledgeMode.AVAILABLE else None
     return route, scheme, mode, reads, gate
 
@@ -523,10 +457,10 @@ def simulate_grid(
     unit-mean exponential gains once per side and to a gate mask and score
     penalty once per distinct delta, all in (k, block) layout.  Per group
     the block gets one plan, an (anchor, picks, trials to re-select) per
-    position (`_certified_choose`, `_anchored_plan` or the point's own
-    scaled gains), and each anchor's picks make one `_Selection`.  Each
-    point adds only its rate numerator, its re-selection of the trials its
-    shared pick does not certify, and its hit counts.  Memory is O(block)
+    position (`_anchored_plan`, or one `_choose` for the group), and each
+    anchor's picks make one `_Selection`.  Each point adds only its rate
+    numerator, its re-selection of the trials an anchor does not certify,
+    and its hit counts.  Memory is O(block)
     whatever `trials` and the number of points, and every estimate equals
     `simulate_point` on that point alone, at any block size.
     """
@@ -549,21 +483,16 @@ def simulate_grid(
         gates = {delta: _gates(u, k, delta) for delta in deltas}
         del u  # the largest array of a block, not needed past this point
         penalties = {delta: _penalty(active) for delta, active in gates.items()}
-        unit_zero = _zeros(e_e)
         for (route, *_), axis in groups.items():
             lead, scheme, mode = points[next(iter(axis.values()))[0]]  # what the key holds
             penalty = penalties[lead.delta] if mode is KnowledgeMode.AVAILABLE else None
-            if route == "unit":
-                plan = [(0, *_certified_choose(scheme, e_d, e_e, unit_zero, penalty))]
-            elif route == "anchored":
+            if route == "anchored":
                 fallback = 0 if penalty is None else gates[lead.delta].argmax(axis=0).astype(np.uint8)
                 inv = _inverse_snr(e_e, lead, penalty)  # (k, block): freed once `_anchored_plan` returns
                 plan = _anchored_plan(e_d, list(axis), lead.sigma_d, inv, fallback)
                 del inv
             else:
-                with np.errstate(over="ignore"):  # a gain past the float range is +inf
-                    g_d, g_e = e_d / lead.lambda_d, e_e / lead.lambda_e
-                plan = [(0, _choose(lead, scheme, g_d, g_e, _zeros(g_e), penalty), ())]
+                plan = [(0, _choose(lead, scheme, e_d, e_e, penalty), ())]
             for t, ((anchor, sel, redo), members) in enumerate(zip(plan, axis.values())):
                 if anchor == t:  # an anchor's position precedes those that share its picks
                     shared = _Selection(sel, e_d, e_e)
@@ -575,9 +504,8 @@ def simulate_grid(
                         # clamp picks the fallback link (`_anchored_plan`), dead or below rate 0: an outage
                         raw[(sel != fallback) & (raw == 0.0)] = -np.inf
                     if len(redo):  # trials the shared pick does not certify: this point's own pick
-                        g_d, g_e = e_d[:, redo] / p.lambda_d, e_e[:, redo] / p.lambda_e
                         gated = None if penalty is None else penalty[:, redo]
-                        own = _choose(p, scheme, g_d, g_e, _zeros(g_e), gated)
+                        own = _choose(p, scheme, e_d[:, redo], e_e[:, redo], gated)
                         own = _Selection(own, e_d, e_e, trials=redo)
                         raw[redo] = own.rate(p)
                         live = live.copy()

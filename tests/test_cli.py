@@ -201,6 +201,9 @@ def test_snr_range_is_capped_on_its_count(capsys):
         ["--delta", "1"],
         ["--snr-db", "3000", "--lambda-e-db=-3000"],
         ["--snr-db=-3000", "--sigma-d-db", "3000", "--sigma-e-db=-3000"],
+        # both gain terms of a link's rate overflow to inf (inf / inf) with probability about 1/36
+        ["--snr-db", "3080", "--lambda-e-db", "3080", "--scheme", "rts,tts,min-es,optimal",
+         "--k", "3", "--trials", "2000"],
     ],
 )
 def test_valid_extremes_run(capsys, extra):
@@ -528,7 +531,7 @@ def test_library_import_leaves_the_heap_unfrozen():
 # huge exponents, short and empty lists, bad enums and bad lo:hi:step ranges.
 # A valid range holds 3 points, so no run builds a large list.
 _NUMBERS = st.sampled_from([
-    "0", "1", "10", "-30", "1023", "2000", "3000", "-3000", "4000", "-4000",
+    "0", "1", "10", "-30", "1023", "2000", "3000", "-3000", "3080", "4000", "-4000",
     "1e300", "1e-300", "1e400", "nan", "inf", "-inf", "x", "",
 ])
 _RANGES = st.builds(
@@ -589,6 +592,8 @@ def _command_lines(draw):
 @example(("sweep", {"lambda-e-db": "3000", "sigma-e-db": "-3000", "trials": "1"}, False))
 @example(("point", {"snr-db": "3080", "sigma-d-db": "100", "sigma-e-db": "-3000", "rth": "1", "delta": "1",
                     "k": "3", "trials": "2000"}, False))
+@example(("point", {"snr-db": "3080", "lambda-e-db": "3080", "scheme": "rts,tts,min-es,optimal", "k": "3",
+                    "trials": "2000"}, False))
 def test_any_command_line_exits_cleanly(case):
     command, values, check = case
     argv = [command] + [f"--{name}={value}" for name, value in values.items()] + ["--check"] * check

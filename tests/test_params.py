@@ -97,6 +97,10 @@ def test_secrecy_rate_formula_and_clamp():
     assert secrecy_rate(3.0, 1.0, 1.0, 1.0) == pytest.approx(math.log2(4.0 / 2.0))
     assert secrecy_rate(0.0, 5.0, 1.0, 1.0) == 0.0
     assert secrecy_rate(0.0, 0.0, 1.0, 1.0) == 0.0
+    # overflowed gains: log2 of 0 or of inf / inf is clamped, log2 of inf stays
+    assert secrecy_rate(1.0, math.inf, 1.0, 1.0) == 0.0
+    assert secrecy_rate(math.inf, math.inf, 1.0, 1.0) == 0.0
+    assert secrecy_rate(math.inf, 1.0, 1.0, 1.0) == math.inf
 
 
 def test_secrecy_rate_domain_errors():

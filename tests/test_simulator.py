@@ -198,7 +198,7 @@ def test_first_argmax_equals_row_argmax(k, trials, values, dead, seed):
     gated = simulator._first_argmax(score_t, simulator._penalty(active_t))
     assert np.array_equal(gated, np.argmax(np.where(active, score, -np.inf), axis=1))
     columns = rng.choice(trials, size=min(trials, 256), replace=False)
-    for margin in (simulator._MARGIN, simulator._RATIO_MARGIN):
+    for margin in (1.0 + 2.0**-49, simulator._RATIO_MARGIN):
         for penalty in (None, simulator._penalty(active_t)):
             pick, unique, top = simulator._first_argmax(score_t, penalty, margin)
             assert np.array_equal(pick, gated if penalty is not None else np.argmax(score, axis=1))
@@ -319,23 +319,36 @@ def _near_tie_grid(snrs=(-30.0, 0.0, 5.0, 10.0, 15.0, 20.0, 50.0, 80.0)):
     ]
 
 
-def _select_hits(p, scheme, mode, u):
-    """(NZR, SOP) hit counts of the scalar `select` on the engine's own gains.
+def _select_outcomes(p, scheme, mode, u, scaled_picks=False):
+    """(picks, NZR hits, SOP hits) of the scalar `select` on the engine's own gains.
 
-    The realization is built from the numpy unit gains, so both sides see
-    the same floats; the outcome rule is the engine's (unclamped rate).
+    The realization is built from the numpy gains, so both sides see the
+    same floats: the scale-free rules pick on the unit gains (on the
+    scaled ones with `scaled_picks`), the optimal rule on the scaled
+    gains.  The outcome rule is the engine's: the unclamped rate of the
+    scaled gains, where NaN (inf / inf) is neither a hit nor an outage.
     """
     e_d, e_e = simulator._unit_gains(u, p.k)
-    nzr = sop = 0
+    with np.errstate(over="ignore"):  # a gain past the float range is +inf, as in the engine
+        g_d, g_e = e_d / p.lambda_d, e_e / p.lambda_e
+    on_d, on_e = (g_d, g_e) if scaled_picks or scheme is Scheme.OPTIMAL else (e_d, e_e)
+    picks, nzr, sop = [], 0, 0
     for t, row in enumerate(u):
-        g_d, g_e = (e_d[:, t] / p.lambda_d).tolist(), (e_e[:, t] / p.lambda_e).tolist()
         active = tuple(bool(x < p.delta) for x in row[2 * p.k :])
-        out = select(p, scheme, mode, ChannelRealization(tuple(g_d), tuple(g_e), active))
-        live = out.transmitted and active[out.selected]
-        raw = np.log2((1.0 + g_d[out.selected] / p.sigma_d) / (1.0 + g_e[out.selected] / p.sigma_e)) if live else 0.0
+        real = ChannelRealization(tuple(on_d[:, t].tolist()), tuple(on_e[:, t].tolist()), active)
+        out = select(p, scheme, mode, real)
+        picks.append(out.selected)
+        live, raw = out.transmitted and active[out.selected], 0.0
+        if live:
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                raw = np.log2((1.0 + g_d[out.selected, t] / p.sigma_d) / (1.0 + g_e[out.selected, t] / p.sigma_e))
         nzr += bool(live and raw > 0.0)
         sop += bool(not live or raw < p.r_th)
-    return nzr, sop
+    return picks, nzr, sop
+
+
+def _select_hits(p, scheme, mode, u):
+    return _select_outcomes(p, scheme, mode, u)[1:]
 
 
 def _assert_engine_is_reference(points, u):
@@ -357,33 +370,19 @@ def _patch_stream(monkeypatch, u):
 
 def test_engine_matches_select_on_forged_near_ties(monkeypatch):
     u = _near_tie_rows()
-    e_d, e_e = simulator._unit_gains(u, 3)
-    for scheme in (Scheme.RTS, Scheme.TTS):  # the rows reach the per-point fallback
-        _, redo = simulator._certified_choose(scheme, e_d, e_e, simulator._zeros(e_e), None)
-        assert 0 < redo.size < u.shape[0]
+    # the rows tell picks on unit gains from picks on scaled gains apart, so an
+    # engine that picked on scaled gains would miss `select` here
+    moved = hits_moved = 0
+    for p, scheme, mode in _near_tie_grid():
+        unit, scaled = (_select_outcomes(p, scheme, mode, u, scaled_picks) for scaled_picks in (False, True))
+        moved += sum(a != b for a, b in zip(unit[0], scaled[0]))
+        hits_moved += unit[1:] != scaled[1:]
+    assert (moved, hits_moved) == (350, 24)
     _patch_stream(monkeypatch, u)
     _assert_engine_is_reference(_near_tie_grid(), u)
     for t in range(0, u.shape[0], 5):  # one trial alone: a one-column block
         _patch_stream(monkeypatch, u[t : t + 1])
         _assert_engine_is_reference(_near_tie_grid(snrs=(0.0, 10.0, 20.0)), u[t : t + 1])
-
-
-def test_certified_choose_classifies_columns():
-    # columns: clear winner, unique +inf, single live link, all dead, exact finite
-    # tie, top score 0, two +inf, 1 ulp apart, 0/0 (scores +inf) beside a finite one
-    e_d = np.array([[2.0, 1.0, 5.0, 5.0, 2.0, 0.0, 1.0, 1.0, 0.0],
-                    [1.0, 3.0, 9.0, 9.0, 4.0, 0.0, 3.0, np.nextafter(1.0, 2.0), 1.0]])
-    e_e = np.array([[1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0],
-                    [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 0.0, 1.0, 1.0]])
-    up = np.array([[True] * 9, [True, True, False, False] + [True] * 5])
-    up[0, 3] = False
-    zero = simulator._zeros(e_e)
-    sel, redo = simulator._certified_choose(Scheme.RTS, e_d, e_e, zero, simulator._penalty(up))
-    assert sel.tolist() == [0, 0, 0, 0, 0, 0, 0, 1, 0]
-    assert redo.tolist() == [4, 5, 6, 7]
-    sel, redo = simulator._certified_choose(Scheme.TTS, e_d, e_e, zero, None)
-    assert sel.tolist() == [0, 1, 1, 1, 1, 0, 1, 1, 1]
-    assert redo.tolist() == [5, 7]
 
 
 # unit gains: 0, or -log1p(-u) for grid uniforms, in [2^-53, 53 ln 2]
@@ -393,79 +392,38 @@ _SAFE_LAMBDAS = st.sampled_from(list(simulator._SAFE_LAMBDA)) | st.floats(-100.0
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    scheme=st.sampled_from([Scheme.RTS, Scheme.TTS]),
-    k=st.integers(1, 5),
-    gains=st.lists(st.tuples(_UNIT_GAINS, _UNIT_GAINS), min_size=5, max_size=5),
-    gaps=st.lists(st.integers(-4, 4), max_size=4),
-    dead=st.sampled_from([0.0, 0.4, 1.0]),
-    lambda_d=_SAFE_LAMBDAS,
-    lambda_e=_SAFE_LAMBDAS,
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_certified_unit_pick_is_the_scaled_pick(scheme, k, gains, gaps, dead, lambda_d, lambda_e, seed):
-    """On certified trials the unit-gain pick is the scaled first argmax, at any safe lambda.
-
-    In every trial link b + 1 gets link 0's unit score moved by gaps[b] ulps
-    of e_d, so near-ties are the rule, not the exception.
-    """
-    rng = np.random.default_rng(seed)
-    trials = 64
-    pool = np.array(gains)
-    idx = rng.integers(0, len(pool), size=(k, trials))
-    e_d, e_e = pool[idx, 0].copy(), pool[idx, 1].copy()
-    for b, gap in enumerate(gaps[: k - 1], start=1):
-        for t in range(trials):
-            if scheme is Scheme.TTS:
-                target = e_d[0, t]
-            elif e_e[0, t] > 0.0:
-                target = e_d[0, t] / e_e[0, t] * e_e[b, t]
-            else:
-                continue
-            if _U_STEP <= target <= _E_MAX:
-                e_d[b, t] = min(max(target + gap * np.spacing(target), _U_STEP), _E_MAX)
-    up = rng.random((k, trials)) >= dead
-    p = SystemParams(k=k, delta=0.5, lambda_d=lambda_d, lambda_e=lambda_e, sigma_d=1.0, sigma_e=1.0)
-    g_d, g_e = e_d / lambda_d, e_e / lambda_e
-    for penalty in (None, simulator._penalty(up)):
-        sel, redo = simulator._certified_choose(scheme, e_d, e_e, simulator._zeros(e_e), penalty)
-        scaled = simulator._choose(p, scheme, g_d, g_e, simulator._zeros(g_e), penalty)
-        certified = np.ones(trials, dtype=bool)
-        certified[redo] = False
-        assert np.array_equal(sel[certified], scaled[certified])
-
-
 def test_extreme_lambdas_select_on_their_own_gains():
-    """Outside the safe range (+-3000 dB) every point selects on its scaled gains."""
+    """Outside the safe range (+-3000 dB) the optimal rule selects on its scaled gains.
+
+    The scale-free rules pick on the unit gains at every lambda.  At 3080 dB
+    a scaled gain overflows to inf, and at 3080 dB on both sides some rates
+    are inf / inf.
+    """
     points = [
         (params(k=3, delta=delta, snr_db=snr, lambda_e_db=le), scheme, mode)
-        for snr in (-3000.0, 10.0, 3000.0)
-        for le in (-3000.0, 8.0, 3000.0)
+        for snr in (-3000.0, 10.0, 3000.0, 3080.0)
+        for le in (-3000.0, 8.0, 3000.0, 3080.0)
         for delta in (0.35, 1.0)
         for scheme in Scheme
         for mode in KnowledgeMode
     ]
     for p, scheme, mode in points:
-        extreme = p.lambda_d > 1e100 or p.lambda_d < 1e-100
-        if scheme is Scheme.RTS:
-            extreme |= p.lambda_e > 1e100 or p.lambda_e < 1e-100
         route = simulator._selection_key(p, scheme, mode)[0]
-        if scheme in (Scheme.RTS, Scheme.TTS):
-            assert route == ("own" if extreme else "unit")
         if scheme is Scheme.OPTIMAL:  # shared along lambda_d only while both lambdas are in range
-            extreme |= p.lambda_e > 1e100 or p.lambda_e < 1e-100
+            extreme = not all(1e-100 <= lam <= 1e100 for lam in (p.lambda_d, p.lambda_e))
             assert route == ("own" if extreme else "anchored")
-        if scheme is Scheme.MIN_ES:
-            assert route == "own"
+        else:
+            assert route == "unit"
     u = uniform_block(seed=1, k=3, start=0, count=400)
     _assert_engine_is_reference(points, u)
 
 
-def test_overflowed_ratios_tie_at_inf_and_go_to_the_lowest_index(tmp_path):
-    """At snr 3000 dB and lambda_e -3000 dB every rts ratio overflows to +inf, silently.
+def test_overflowed_ratios_pick_on_unit_gains(tmp_path):
+    """At snr 3000 dB and lambda_e -3000 dB every scaled rts ratio overflows to +inf.
 
-    The +inf scores tie and resolve to link 0, as the scalar `select` does.
+    Scaled scores would all tie and pick link 0; the engine picks the
+    largest unit ratio e_d / e_e, as `select` does on unit gains.  With
+    every gate up and every rate above 900 bits the pick moves no CSV field.
     """
     out = tmp_path / "sweep.csv"
     src = Path(__file__).resolve().parents[1] / "src"
@@ -479,16 +437,18 @@ def test_overflowed_ratios_tie_at_inf_and_go_to_the_lowest_index(tmp_path):
     p = params(k=3, delta=1.0, snr_db=3000.0, lambda_e_db=-3000.0)
     u = uniform_block(seed=1, k=3, start=0, count=1000)
     e_d, e_e = simulator._unit_gains(u, 3)
-    g_d, g_e = e_d / p.lambda_d, e_e / p.lambda_e
     with np.errstate(over="ignore"):
-        assert np.isinf(g_d / g_e).all()
-    sel = simulator._choose(p, Scheme.RTS, g_d, g_e, simulator._zeros(g_e), None)
-    reals = [ChannelRealization(tuple(d), tuple(e), (True,) * 3) for d, e in zip(g_d.T.tolist(), g_e.T.tolist())]
-    assert sel.tolist() == [select(p, Scheme.RTS, UNAVAIL, real).selected for real in reals]
+        assert np.isinf((e_d / p.lambda_d) / (e_e / p.lambda_e)).all()
+    sel = simulator._choose(p, Scheme.RTS, e_d, e_e, None)
+    assert sel.tolist() == _select_outcomes(p, Scheme.RTS, UNAVAIL, u)[0]
+    scaled = _select_outcomes(p, Scheme.RTS, UNAVAIL, u, scaled_picks=True)[0]
+    assert scaled == [0] * 1000 and sel.tolist() != scaled
     with open(out, encoding="utf-8") as handle:
         rows = list(csv.DictReader(line for line in handle if not line.startswith("#")))
     for row in rows:
-        nzr, sop = _select_hits(p, Scheme.RTS, KnowledgeMode(row["mode"]), u)
+        mode = KnowledgeMode(row["mode"])
+        nzr, sop = _select_hits(p, Scheme.RTS, mode, u)
+        assert (nzr, sop) == _select_outcomes(p, Scheme.RTS, mode, u, scaled_picks=True)[1:]
         assert float(row["simulated"]) == (nzr if row["metric"] == "nzr" else sop) / u.shape[0]
 
 
@@ -629,7 +589,7 @@ def test_anchored_pick_is_the_per_point_pick(k, gains, gaps, dead, lambda_ds, la
         inv = simulator._inverse_snr(e_e, points[0], penalty)
         plan = simulator._anchored_plan(e_d, lambdas, sigma_d, inv, fallback)
         for p, (_, sel, redo) in zip(points, plan):
-            expected = simulator._choose(p, Scheme.OPTIMAL, e_d / p.lambda_d, e_e / p.lambda_e, None, penalty)
+            expected = simulator._choose(p, Scheme.OPTIMAL, e_d, e_e, penalty)
             at = sel.astype(np.intp) * trials + np.arange(trials)
             num = 1.0 + e_d.take(at) / p.lambda_d / p.sigma_d
             raw = np.log2(num / (1.0 + e_e.take(at) / p.lambda_e / p.sigma_e))
@@ -644,27 +604,20 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
     rts, tts and min-es one each, and 4 anchors for the optimal rule's 13
     SNRs; its other points re-select only the trials the anchors leave.
     """
-    calls = {"full": 0, "anchors": 0, "redo": 0, "unit_redo": 0}
+    calls = {"full": 0, "anchors": 0, "redo": 0}
     width = {}
-    stream, certified_choose = simulator.uniform_block, simulator._certified_choose
-    choose, ratio_top = simulator._choose, simulator._ratio_top
+    stream, choose, ratio_top = simulator.uniform_block, simulator._choose, simulator._ratio_top
 
     def counting_stream(seed, k, start, count):
         width["block"] = count
         return stream(seed, k, start, count)
 
-    def counting_certified_choose(scheme, e_d, *args):
-        sel, redo = certified_choose(scheme, e_d, *args)
-        calls["full"] += e_d.shape[1] == width["block"]
-        calls["unit_redo"] += redo.size
-        return sel, redo
-
-    def counting_choose(p, scheme, g_d, *args):
-        if g_d.shape[1] == width["block"]:
+    def counting_choose(p, scheme, e_d, *args):
+        if e_d.shape[1] == width["block"]:
             calls["full"] += 1
         else:
-            calls["redo"] += g_d.shape[1]
-        return choose(p, scheme, g_d, *args)
+            calls["redo"] += e_d.shape[1]
+        return choose(p, scheme, e_d, *args)
 
     def counting_ratio_top(e_d, *args):
         calls["anchors"] += 1
@@ -672,7 +625,6 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
         return ratio_top(e_d, *args)
 
     monkeypatch.setattr(simulator, "uniform_block", counting_stream)
-    monkeypatch.setattr(simulator, "_certified_choose", counting_certified_choose)
     monkeypatch.setattr(simulator, "_choose", counting_choose)
     monkeypatch.setattr(simulator, "_ratio_top", counting_ratio_top)
     points = [
@@ -684,7 +636,7 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
     simulate_grid(points, trials, seed=1)
     blocks = -(-trials // simulator.DEFAULT_BLOCK)
     # rts 1, tts 1, min-es 1 and optimal 4 anchors, against 13 + 13 + 1 + 13 per lambda
-    assert calls == {"full": 7 * blocks, "anchors": 4 * blocks, "redo": 62_440, "unit_redo": 0}
+    assert calls == {"full": 7 * blocks, "anchors": 4 * blocks, "redo": 62_440}
 
 
 # --- scalar selection --------------------------------------------------------
