@@ -141,5 +141,10 @@ def secrecy_rate(g_d: float, g_e: float, sigma_d: float, sigma_e: float) -> floa
         raise ValueError("channel gains must be non-negative")
     if sigma_d <= 0.0 or sigma_e <= 0.0:
         raise ValueError("noise powers must be positive")
-    ratio = (1.0 + g_d / sigma_d) / (1.0 + g_e / sigma_e)  # 0 or NaN once g_e overflows to inf
+    ratio = snr_ratio(g_d, g_e, sigma_d, sigma_e)  # 0 or NaN once g_e overflows to inf
     return math.log2(ratio) if ratio > 1.0 else 0.0
+
+
+def snr_ratio(g_d: float, g_e: float, sigma_d: float, sigma_e: float) -> float:
+    """SNR ratio (1 + g_d/sigma_d)/(1 + g_e/sigma_e): the secrecy rate is its log2 where it exceeds 1."""
+    return (1.0 + g_d / sigma_d) / (1.0 + g_e / sigma_e)

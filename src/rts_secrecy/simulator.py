@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .params import KnowledgeMode, Metric, Scheme, SystemParams, secrecy_rate
+from .params import KnowledgeMode, Metric, Scheme, SystemParams, secrecy_rate, snr_ratio
 
 DEFAULT_BLOCK = 1 << 14
 _WORDS_PER_COUNTER_STEP = 4
@@ -28,7 +28,6 @@ _PIECE_WORDS = 1 << 15  # values per piece when a block's gains are transposed
 # in this range; outside it each point selects on its own gains (see `_ratio_top`)
 _SAFE_LAMBDA = (1e-100, 1e100)
 _RATIO_MARGIN = 1.0 + 2.0**-30  # certifies an optimal pick along the lambda_d axis
-_LOG2_ERROR = 2.0**-40  # assumed bound on |numpy log2(x) - log2(x)|, x a positive normal
 # bisect a run of the optimal rule's SNR axis while its inner points would re-select
 # more than block / _ANCHOR_COST trials in all (2 to 16 time alike on the compare grid)
 _ANCHOR_COST = 2
@@ -120,7 +119,8 @@ def _score(scheme: Scheme, p: SystemParams, g_d: float, g_e: float) -> float:
         return g_d
     if scheme is Scheme.MIN_ES:
         return -g_e
-    return secrecy_rate(g_d, g_e, p.sigma_d, p.sigma_e)
+    ratio = snr_ratio(g_d, g_e, p.sigma_d, p.sigma_e)
+    return ratio if ratio > 1.0 else 1.0  # clamped as in `_choose`; NaN (inf / inf) scores 1
 
 
 def select(
@@ -172,17 +172,26 @@ def _gates(u: np.ndarray, k: int, delta: float) -> np.ndarray:
     return np.ascontiguousarray((u[:, 2 * k : 3 * k] < delta).T)
 
 
-def _penalty(active: np.ndarray) -> np.ndarray:
-    """0 where a gate is up and -inf where it is down; added to scores."""
-    return np.where(active, 0.0, -np.inf)
+def _snr(e: np.ndarray, lam: float, sigma: float) -> np.ndarray:
+    """Gain over noise e / lambda / sigma of unit gains e, each 0 or in [2^-53, 36.75] (`_unit_gains`).
+
+    e / m_l / m_s, with m_l and m_s the frexp mantissas of lambda and sigma
+    in [0.5, 1), lies in [2^-53, 147], and one ldexp by their exponents
+    scales it: it overflows only past the float range.  Where e / lambda
+    and its quotient by sigma stay normal, this is fl(fl(e / lambda) / sigma)
+    bit for bit, as dividing by a power of two is exact there.
+    """
+    (m_l, x_l), (m_s, x_s) = math.frexp(lam), math.frexp(sigma)
+    with np.errstate(over="ignore"):  # only where e / (lambda sigma) itself is past the float range
+        return np.ldexp(e / m_l / m_s, -(x_l + x_s))
 
 
 def _first_argmax(
-    score: np.ndarray, penalty: np.ndarray | None = None, margin: float | None = None
+    score: np.ndarray, mask: np.ndarray | None = None, margin: float | None = None
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per trial (column) of a (k, trials) score, the lowest row index (uint8) of its maximum.
 
-    `penalty` (see `_penalty`) makes dead gates score -inf first.  Equal to
+    A gate `mask` makes dead links score -inf first.  Equal to
     np.argmax(scores, axis=1) on the (trials, k) gated scores, ties, +-inf
     and all-dead columns (pick 0) included, for NaN-free scores.  Instead of
     one short argmax per trial it runs contiguous passes over the k rows: a
@@ -193,13 +202,9 @@ def _first_argmax(
     top row itself and no other (see `_ratio_top`).
     """
     k = score.shape[0]
-    if penalty is not None:
-        with np.errstate(invalid="ignore"):
-            score = score + penalty
+    if mask is not None:
+        score = np.where(mask, score, -np.inf)
     top = score.max(axis=0)
-    if penalty is not None and np.isnan(top).any():  # +inf met a dead gate: inf - inf
-        score[np.isnan(score)] = -np.inf
-        top = score.max(axis=0)
     first = (score == top).view(np.uint8)
     first *= np.arange(k, 0, -1, dtype=np.uint8)[:, None]
     pick = k - first.max(axis=0)
@@ -210,7 +215,7 @@ def _first_argmax(
 
 
 def _choose(
-    p: SystemParams, scheme: Scheme, e_d: np.ndarray, e_e: np.ndarray, penalty: np.ndarray | None
+    p: SystemParams, scheme: Scheme, e_d: np.ndarray, e_e: np.ndarray, mask: np.ndarray | None
 ) -> np.ndarray:
     """Selected transmitter per trial from (k, trials) unit gains; ties go to the lowest index.
 
@@ -218,10 +223,10 @@ def _choose(
     every score of a trial by one positive constant, so they pick on the
     unit scores e_d / e_e (+inf where e_e == 0, 0/0 included), e_d and -e_e,
     at every point alike.  Only the optimal rule reads `p`: it scores the
-    clamped rate of the scaled gains, 0 where both of its terms overflow
-    (inf / inf), as `secrecy_rate` does.  `penalty` is None without gate
-    knowledge; with it dead transmitters score -inf, and when every gate is
-    down the pick is index 0, which is dead and so never counts as live.
+    SNR ratio of the scaled gains clamped at 1, 1 where both of its terms
+    overflow (inf / inf).  The gate `mask` is None without gate knowledge;
+    with it dead transmitters score -inf, and when every gate is down the
+    pick is index 0, which is dead and so never counts as live.
     """
     if scheme is Scheme.RTS:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -232,10 +237,10 @@ def _choose(
     elif scheme is Scheme.MIN_ES:
         score = -e_e
     else:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # as in `_Selection.rate`
-            rate = np.log2((1.0 + e_d / p.lambda_d / p.sigma_d) / (1.0 + e_e / p.lambda_e / p.sigma_e))
-        score = np.fmax(rate, 0.0)  # NaN to 0
-    return _first_argmax(score, penalty)
+        with np.errstate(invalid="ignore"):  # inf / inf, as in `_Selection.ratio`
+            ratio = (1.0 + _snr(e_d, p.lambda_d, p.sigma_d)) / (1.0 + _snr(e_e, p.lambda_e, p.sigma_e))
+        score = np.fmax(ratio, 1.0)  # NaN to 1
+    return _first_argmax(score, mask)
 
 
 class _Selection:
@@ -244,7 +249,7 @@ class _Selection:
     `sel` is the picked row of each trial in `trials` (default: every trial
     of the (k, block) gains).  The unit gains of the picked links are
     gathered once (a point scales them by its own 1/lambda, which is bit
-    for bit the gather of its scaled gains), and the rate denominator
+    for bit the gather of its scaled gains), and the ratio denominator
     1 + e_e / lambda_e / sigma_e and the picked gate states are made once
     per (lambda_e, sigma_e) and per delta.
     """
@@ -256,19 +261,19 @@ class _Selection:
         self._dens: dict[tuple[float, float], np.ndarray] = {}
         self._lives: dict[float, np.ndarray] = {}
 
-    def rate(self, p: SystemParams) -> np.ndarray:
-        """Unclamped secrecy rate of each picked link at point `p`.
+    def ratio(self, p: SystemParams) -> np.ndarray:
+        """SNR ratio (1 + g_d / sigma_d) / (1 + g_e / sigma_e) of each picked link at point `p`.
 
         A gain term past the float range, about 3080 dB of mean gain over
-        noise power, overflows to inf: a rate of +-inf (log2 of inf or 0),
-        the right limit, or NaN where both terms overflow (inf / inf), which
-        counts as neither a non-zero rate nor an outage.
+        noise power, overflows to inf: a ratio of inf or 0, the right limit,
+        or NaN where both terms overflow (inf / inf), which counts as
+        neither a non-zero rate nor an outage.
         """
         key = p.lambda_e, p.sigma_e
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            if key not in self._dens:
-                self._dens[key] = 1.0 + self.e_e / p.lambda_e / p.sigma_e
-            return np.log2((1.0 + self.e_d / p.lambda_d / p.sigma_d) / self._dens[key])
+        if key not in self._dens:
+            self._dens[key] = 1.0 + _snr(self.e_e, p.lambda_e, p.sigma_e)
+        with np.errstate(invalid="ignore"):
+            return (1.0 + _snr(self.e_d, p.lambda_d, p.sigma_d)) / self._dens[key]
 
     def live(self, delta: float, active: np.ndarray) -> np.ndarray:
         if delta not in self._lives:
@@ -276,18 +281,18 @@ class _Selection:
         return self._lives[delta]
 
 
-def _inverse_snr(e_e: np.ndarray, p: SystemParams, penalty: np.ndarray | None) -> np.ndarray:
-    """1 / (1 + e_e / lambda_e / sigma_e) of a point, -inf on dead links under `penalty`."""
-    inv = 1.0 / (1.0 + e_e / p.lambda_e / p.sigma_e)
-    if penalty is not None:
-        inv += penalty
+def _inverse_snr(e_e: np.ndarray, p: SystemParams, mask: np.ndarray | None) -> np.ndarray:
+    """1 / (1 + e_e / lambda_e / sigma_e) of a point, -inf on the dead links of a gate `mask`."""
+    inv = 1.0 / (1.0 + _snr(e_e, p.lambda_e, p.sigma_e))
+    if mask is not None:
+        np.copyto(inv, -np.inf, where=~mask)
     return inv
 
 
 def _ratio_top(
     e_d: np.ndarray, lambda_d: float, sigma_d: float, inv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The optimal rule's unclamped rate ratio at one lambda_d: (top, unique, clamped) per trial.
+    """The optimal rule's unclamped SNR ratio at one lambda_d: (top, unique, clamped) per trial.
 
     `inv` is `_inverse_snr` of the point; `top` is the first live link of
     the largest ratio, `unique` says no other live link is within the
@@ -298,23 +303,19 @@ def _ratio_top(
     a = 1 / (lambda_d sigma_d) and c = 1 + e_e / (lambda_e sigma_e).  Here it
     is computed as X = fl(fl(1 + fl(e_d fl(1 / fl(lambda_d sigma_d)))) fl(1 / c)),
     and `_choose` and the engine compute X' = fl(N / D) with
-    N = fl(1 + fl(fl(e_d / lambda_d) / sigma_d)), D = fl(1 + fl(fl(e_e / lambda_e) / sigma_e)).
-    With u = 2^-53 and the four lambdas and noise powers in `_SAFE_LAMBDA`,
-    nothing overflows and an underflow costs at most 1e-220 against the 1
-    it is added to, so X = R (1 + eta) with |eta| < 9.1u, and X' with
-    |eta| < 7.1u.  `unique`: every other live X lies below
-    fl(X_top / _RATIO_MARGIN), so R_top > R (1 + m) with m = 2^-30 - 20u.
+    N = fl(1 + fl(fl(e_d / lambda_d) / sigma_d)), D = fl(1 + fl(fl(e_e / lambda_e) / sigma_e))
+    (`_snr`).  With u = 2^-53 and the four lambdas and noise powers in
+    `_SAFE_LAMBDA` nothing overflows or underflows, so
+    X = R (1 + eta) with |eta| < 9.1u, and X' with |eta| < 7.1u.  `unique`: every
+    other live X lies below fl(X_top / _RATIO_MARGIN), so R_top > R (1 + m) with m = 2^-30 - 20u.
     `clamped`: fl(X_top * _RATIO_MARGIN) < 1, so every live R < 1 / (1 + m).
 
     R is affine and non-decreasing in a.  So R_top - (1 + m) R > 0 at two
-    lambda_d holds at every lambda_d between them, where X'_top > X' (1 + 2^-31)
-    and log2 X'_top - log2 X' > 2^-31; and R < 1 / (1 + m) at one lambda_d
-    holds at every larger one, where log2 X' < -2^-31.  numpy's log2 keeps
-    both strict while its error stays below _LOG2_ERROR = 2^-40 (one ulp of
-    a result below 1024 in magnitude is at most 2^-43; the tests check the
-    bound).  Hence where the top link's computed rate is positive `_choose`
-    picks it, and where it is <= 0, or every rate is clamped, every
-    candidate scores 0 and `_choose` picks the first candidate.
+    lambda_d holds at every lambda_d between them, where X'_top > X' (1 + 2^-31);
+    and R < 1 / (1 + m) at one lambda_d holds at every larger one, where
+    X' < 1.  So where the top link's X' > 1 `_choose` picks it, as its score
+    fmax(X', 1) exceeds every other; where it is <= 1, or every ratio is
+    clamped, every candidate scores 1 and `_choose` picks the first one.
     """
     ratio = e_d * (1.0 / (lambda_d * sigma_d))
     ratio += 1.0
@@ -329,7 +330,7 @@ def _anchored_plan(
     """Per position of a lambda_d axis sorted upward: (anchor, its picks, trials to re-select).
 
     Anchors are `_ratio_top` at one position, and `fallback` is the pick where
-    every candidate's clamped score is 0: the first live link, or 0.  An
+    every candidate's clamped score is 1: the first live link, or 0.  An
     anchor picks its unique top link, or the fallback where it is clamped,
     and re-selects the other trials.  The two ends are anchors.  Between two
     anchors a < b the lower anchor's picks hold for the trials with one
@@ -370,25 +371,21 @@ def _block_outcomes(
 
     Returns (rates, transmitted, outage).  Mirrors `select` exactly, fed
     the unit gains for the scale-free rules (`_choose`): same scores, and
-    argmax ties resolving to the lowest index.  The outage indicator
-    compares the unclamped rate to the threshold, so equality at the clamp
-    (an atom when the threshold is zero) stays a measure-zero boundary;
-    dead or silent trials always count as outages.
+    argmax ties resolving to the lowest index.  A live trial's rate is
+    log2 X where its SNR ratio X exceeds 1, else 0, and it is an outage
+    where X < 2^r_th; dead or silent trials always are.
     """
     k = p.k
     e_d, e_e = _unit_gains(u, k)
     active = _gates(u, k, p.delta)
     if mode is KnowledgeMode.AVAILABLE:
-        transmitted = active.any(axis=0)
-        penalty = _penalty(active)
+        transmitted, mask = active.any(axis=0), active
     else:
-        transmitted = np.ones(u.shape[0], dtype=bool)
-        penalty = None
-    link = _Selection(_choose(p, scheme, e_d, e_e, penalty), e_d, e_e)
-    raw, live = link.rate(p), link.live(p.delta, active)
-    rate = np.where(live, np.maximum(raw, 0.0), 0.0)
-    outage = np.where(live, raw < p.r_th, True)
-    return rate, transmitted, outage
+        transmitted, mask = np.ones(u.shape[0], dtype=bool), None
+    link = _Selection(_choose(p, scheme, e_d, e_e, mask), e_d, e_e)
+    ratio, live = link.ratio(p), link.live(p.delta, active)
+    rate = np.log2(ratio, out=np.zeros(ratio.size), where=live & (ratio > 1.0))
+    return rate, transmitted, ~live | (ratio < p.rho)
 
 
 def _all_outcomes(
@@ -454,13 +451,13 @@ def simulate_grid(
     `_selection_key`, and within a group by position on its lambda_d
     axis: one position unless the route is "anchored", whose positions
     run upward.  Per block the uniforms are generated once, mapped to
-    unit-mean exponential gains once per side and to a gate mask and score
-    penalty once per distinct delta, all in (k, block) layout.  Per group
-    the block gets one plan, an (anchor, picks, trials to re-select) per
-    position (`_anchored_plan`, or one `_choose` for the group), and each
-    anchor's picks make one `_Selection`.  Each point adds only its rate
+    unit-mean exponential gains once per side and to a gate mask once per
+    distinct delta, all in (k, block) layout.  Per group the block gets one
+    plan, an (anchor, picks, trials to re-select) per position
+    (`_anchored_plan`, or one `_choose` for the group), and each anchor's
+    picks make one `_Selection`.  Each point adds only its SNR-ratio
     numerator, its re-selection of the trials an anchor does not certify,
-    and its hit counts.  Memory is O(block)
+    and its hit counts: X > 1 and X < 2^r_th.  Memory is O(block)
     whatever `trials` and the number of points, and every estimate equals
     `simulate_point` on that point alone, at any block size.
     """
@@ -482,36 +479,35 @@ def simulate_grid(
         e_d, e_e = _unit_gains(u, k)
         gates = {delta: _gates(u, k, delta) for delta in deltas}
         del u  # the largest array of a block, not needed past this point
-        penalties = {delta: _penalty(active) for delta, active in gates.items()}
         for (route, *_), axis in groups.items():
             lead, scheme, mode = points[next(iter(axis.values()))[0]]  # what the key holds
-            penalty = penalties[lead.delta] if mode is KnowledgeMode.AVAILABLE else None
+            mask = gates[lead.delta] if mode is KnowledgeMode.AVAILABLE else None
             if route == "anchored":
-                fallback = 0 if penalty is None else gates[lead.delta].argmax(axis=0).astype(np.uint8)
-                inv = _inverse_snr(e_e, lead, penalty)  # (k, block): freed once `_anchored_plan` returns
+                fallback = 0 if mask is None else mask.argmax(axis=0).astype(np.uint8)
+                inv = _inverse_snr(e_e, lead, mask)  # (k, block): freed once `_anchored_plan` returns
                 plan = _anchored_plan(e_d, list(axis), lead.sigma_d, inv, fallback)
                 del inv
             else:
-                plan = [(0, _choose(lead, scheme, e_d, e_e, penalty), ())]
+                plan = [(0, _choose(lead, scheme, e_d, e_e, mask), ())]
             for t, ((anchor, sel, redo), members) in enumerate(zip(plan, axis.values())):
                 if anchor == t:  # an anchor's position precedes those that share its picks
                     shared = _Selection(sel, e_d, e_e)
                 for i in members:
                     p = points[i][0]
                     active = gates[p.delta]
-                    raw, live = shared.rate(p), shared.live(p.delta, active)
-                    if route == "anchored" and p.r_th == 0.0:  # at a shared rate of exactly 0 the
-                        # clamp picks the fallback link (`_anchored_plan`), dead or below rate 0: an outage
-                        raw[(sel != fallback) & (raw == 0.0)] = -np.inf
+                    ratio, live = shared.ratio(p), shared.live(p.delta, active)
+                    if route == "anchored" and p.r_th == 0.0:  # at a shared ratio of exactly 1 the
+                        # clamp picks the fallback link (`_anchored_plan`), dead or below ratio 1: an outage
+                        ratio[(sel != fallback) & (ratio == 1.0)] = 0.0
                     if len(redo):  # trials the shared pick does not certify: this point's own pick
-                        gated = None if penalty is None else penalty[:, redo]
+                        gated = None if mask is None else mask[:, redo]
                         own = _choose(p, scheme, e_d[:, redo], e_e[:, redo], gated)
                         own = _Selection(own, e_d, e_e, trials=redo)
-                        raw[redo] = own.rate(p)
+                        ratio[redo] = own.ratio(p)
                         live = live.copy()
                         live[redo] = own.live(p.delta, active)
-                    nzr_hits[i] += int(np.count_nonzero(live & (raw > 0.0)))
-                    sop_hits[i] += int(np.count_nonzero(~live | (raw < p.r_th)))
+                    nzr_hits[i] += int(np.count_nonzero(live & (ratio > 1.0)))
+                    sop_hits[i] += int(np.count_nonzero(~live | (ratio < p.rho)))
     return [_estimates(nzr, sop, trials, seed) for nzr, sop in zip(nzr_hits, sop_hits)]
 
 
