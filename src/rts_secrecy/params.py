@@ -129,11 +129,6 @@ class SystemParams:
         """Outage SNR-ratio threshold 2**r_th."""
         return 2.0 ** self.r_th
 
-    @property
-    def ratio_threshold(self) -> float:
-        """Gain ratio g_d/g_e below which the secrecy rate is zero."""
-        return self.sigma_d / self.sigma_e
-
 
 def secrecy_rate(g_d: float, g_e: float, sigma_d: float, sigma_e: float) -> float:
     """Instantaneous secrecy rate, log2 ratio of the two SNR terms, floored at 0."""

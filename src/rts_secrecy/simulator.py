@@ -120,7 +120,7 @@ def _score(scheme: Scheme, p: SystemParams, g_d: float, g_e: float) -> float:
     if scheme is Scheme.MIN_ES:
         return -g_e
     ratio = snr_ratio(g_d, g_e, p.sigma_d, p.sigma_e)
-    return ratio if ratio > 1.0 else 1.0  # clamped as in `_choose`; NaN (inf / inf) scores 1
+    return 0.0 if math.isnan(ratio) else ratio  # as in `_choose`: NaN (inf / inf) scores 0
 
 
 def select(
@@ -223,10 +223,11 @@ def _choose(
     every score of a trial by one positive constant, so they pick on the
     unit scores e_d / e_e (+inf where e_e == 0, 0/0 included), e_d and -e_e,
     at every point alike.  Only the optimal rule reads `p`: it scores the
-    SNR ratio of the scaled gains clamped at 1, 1 where both of its terms
-    overflow (inf / inf).  The gate `mask` is None without gate knowledge;
-    with it dead transmitters score -inf, and when every gate is down the
-    pick is index 0, which is dead and so never counts as live.
+    SNR ratio X' of the scaled gains, 0 where both of its terms overflow
+    (inf / inf): the largest rate wherever one is non-zero.  The gate
+    `mask` is None without gate knowledge; with it dead transmitters score
+    -inf, and when every gate is down the pick is index 0, which is dead
+    and so never counts as live.
     """
     if scheme is Scheme.RTS:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -237,9 +238,9 @@ def _choose(
     elif scheme is Scheme.MIN_ES:
         score = -e_e
     else:
-        with np.errstate(invalid="ignore"):  # inf / inf, as in `_Selection.ratio`
+        with np.errstate(invalid="ignore"):  # inf / inf, as in `_Selection.hits`
             ratio = (1.0 + _snr(e_d, p.lambda_d, p.sigma_d)) / (1.0 + _snr(e_e, p.lambda_e, p.sigma_e))
-        score = np.fmax(ratio, 1.0)  # NaN to 1
+        score = np.fmax(ratio, 0.0)  # NaN to 0
     return _first_argmax(score, mask)
 
 
@@ -249,36 +250,38 @@ class _Selection:
     `sel` is the picked row of each trial in `trials` (default: every trial
     of the (k, block) gains).  The unit gains of the picked links are
     gathered once (a point scales them by its own 1/lambda, which is bit
-    for bit the gather of its scaled gains), and the ratio denominator
-    1 + e_e / lambda_e / sigma_e and the picked gate states are made once
-    per (lambda_e, sigma_e) and per delta.
+    for bit the gather of its scaled gains), and the eavesdropper's gain
+    over noise g_e / sigma_e and the picked gate states are made once per
+    (lambda_e, sigma_e) and per delta.
     """
 
     def __init__(self, sel: np.ndarray, e_d: np.ndarray, e_e: np.ndarray, trials: np.ndarray | None = None):
         trials = np.arange(sel.size) if trials is None else trials
         self.pick = np.asarray(sel, dtype=np.intp) * e_d.shape[1] + trials  # flat [sel, trial]
         self.e_d, self.e_e = e_d.take(self.pick), e_e.take(self.pick)
-        self._dens: dict[tuple[float, float], np.ndarray] = {}
+        self._snr_e: dict[tuple[float, float], np.ndarray] = {}
         self._lives: dict[float, np.ndarray] = {}
 
-    def ratio(self, p: SystemParams) -> np.ndarray:
-        """SNR ratio (1 + g_d / sigma_d) / (1 + g_e / sigma_e) of each picked link at point `p`.
+    def hits(self, p: SystemParams, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(non-zero rate, outage) of each picked link at point `p`, as fresh arrays.
 
-        A gain term past the float range, about 3080 dB of mean gain over
-        noise power, overflows to inf: a ratio of inf or 0, the right limit,
-        or NaN where both terms overflow (inf / inf), which counts as
-        neither a non-zero rate nor an outage.
+        With a = g_d / sigma_d and b = g_e / sigma_e, a live link's rate is
+        non-zero where a > b, which needs no sum with 1 (1 + a and 1 + b
+        round to 1 below about 2^-53).  It is in outage where a < b if
+        rho = fl(2^r_th) is 1, else where X' = (1 + a) / (1 + b) < rho; a
+        dead link always is.  Where a or b is inf (about 3080 dB of mean
+        gain over noise power) X' is inf or 0, the right limit; where both
+        are, neither outcome holds.
         """
         key = p.lambda_e, p.sigma_e
-        if key not in self._dens:
-            self._dens[key] = 1.0 + _snr(self.e_e, p.lambda_e, p.sigma_e)
-        with np.errstate(invalid="ignore"):
-            return (1.0 + _snr(self.e_d, p.lambda_d, p.sigma_d)) / self._dens[key]
-
-    def live(self, delta: float, active: np.ndarray) -> np.ndarray:
-        if delta not in self._lives:
-            self._lives[delta] = active.take(self.pick)
-        return self._lives[delta]
+        if key not in self._snr_e:
+            self._snr_e[key] = _snr(self.e_e, p.lambda_e, p.sigma_e)
+        if p.delta not in self._lives:
+            self._lives[p.delta] = active.take(self.pick)
+        a, b, live = _snr(self.e_d, p.lambda_d, p.sigma_d), self._snr_e[key], self._lives[p.delta]
+        with np.errstate(invalid="ignore"):  # inf / inf
+            below = a < b if p.rho == 1.0 else (1.0 + a) / (1.0 + b) < p.rho
+        return live & (a > b), ~live | below
 
 
 def _inverse_snr(e_e: np.ndarray, p: SystemParams, mask: np.ndarray | None) -> np.ndarray:
@@ -291,50 +294,43 @@ def _inverse_snr(e_e: np.ndarray, p: SystemParams, mask: np.ndarray | None) -> n
 
 def _ratio_top(
     e_d: np.ndarray, lambda_d: float, sigma_d: float, inv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The optimal rule's unclamped SNR ratio at one lambda_d: (top, unique, clamped) per trial.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The optimal rule's SNR ratio at one lambda_d: (top, certain) per trial.
 
     `inv` is `_inverse_snr` of the point; `top` is the first live link of
-    the largest ratio, `unique` says no other live link is within the
-    margin below it, and `clamped` that every live ratio lies below 1 by
-    the margin (all-dead trials included).
+    the largest ratio, and `certain` says no other live link is within the
+    margin below it, or that every link is dead, where any pick is dead.
 
     The exact ratio of a link is R = (1 + a e_d) / c, with
     a = 1 / (lambda_d sigma_d) and c = 1 + e_e / (lambda_e sigma_e).  Here it
     is computed as X = fl(fl(1 + fl(e_d fl(1 / fl(lambda_d sigma_d)))) fl(1 / c)),
-    and `_choose` and the engine compute X' = fl(N / D) with
+    and `_choose` scores X' = fl(N / D) with
     N = fl(1 + fl(fl(e_d / lambda_d) / sigma_d)), D = fl(1 + fl(fl(e_e / lambda_e) / sigma_e))
     (`_snr`).  With u = 2^-53 and the four lambdas and noise powers in
     `_SAFE_LAMBDA` nothing overflows or underflows, so
-    X = R (1 + eta) with |eta| < 9.1u, and X' with |eta| < 7.1u.  `unique`: every
-    other live X lies below fl(X_top / _RATIO_MARGIN), so R_top > R (1 + m) with m = 2^-30 - 20u.
-    `clamped`: fl(X_top * _RATIO_MARGIN) < 1, so every live R < 1 / (1 + m).
+    X = R (1 + eta) with |eta| < 9.1u, and X' with |eta| < 7.1u.  Certain, with a live
+    link: every other live X lies below fl(X_top / _RATIO_MARGIN), so R_top > R (1 + m) with m = 2^-30 - 20u.
 
     R is affine and non-decreasing in a.  So R_top - (1 + m) R > 0 at two
-    lambda_d holds at every lambda_d between them, where X'_top > X' (1 + 2^-31);
-    and R < 1 / (1 + m) at one lambda_d holds at every larger one, where
-    X' < 1.  So where the top link's X' > 1 `_choose` picks it, as its score
-    fmax(X', 1) exceeds every other; where it is <= 1, or every ratio is
-    clamped, every candidate scores 1 and `_choose` picks the first one.
+    lambda_d holds at every lambda_d between them, where X'_top > X' (1 + 2^-31):
+    there `_choose` picks the top link.
     """
     ratio = e_d * (1.0 / (lambda_d * sigma_d))
     ratio += 1.0
     ratio *= inv
     top, unique, best = _first_argmax(ratio, margin=_RATIO_MARGIN)
-    return top, unique, best * _RATIO_MARGIN < 1.0
+    return top, unique | (best == -np.inf)
 
 
 def _anchored_plan(
-    e_d: np.ndarray, lambdas: list[float], sigma_d: float, inv: np.ndarray, fallback: np.ndarray | int
+    e_d: np.ndarray, lambdas: list[float], sigma_d: float, inv: np.ndarray
 ) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Per position of a lambda_d axis sorted upward: (anchor, its picks, trials to re-select).
 
-    Anchors are `_ratio_top` at one position, and `fallback` is the pick where
-    every candidate's clamped score is 1: the first live link, or 0.  An
-    anchor picks its unique top link, or the fallback where it is clamped,
-    and re-selects the other trials.  The two ends are anchors.  Between two
-    anchors a < b the lower anchor's picks hold for the trials with one
-    unique top link at both, or clamped at a (the higher SNR); the rest are
+    Anchors are `_ratio_top` at one position: an anchor picks its top
+    links and re-selects the trials it does not certify.  The two ends are
+    anchors.  Between two anchors a < b the lower anchor's picks hold for
+    the trials certified at both with one top link; the rest are
     re-selected at every inner position.  A run is bisected while that
     share, times its inner positions and _ANCHOR_COST, exceeds one block.
     """
@@ -344,8 +340,8 @@ def _anchored_plan(
     redo = {}
     while runs:
         a, b = runs.pop()
-        (top_a, unique_a, clamped_a), (top_b, unique_b, _) = tops[a], tops[b]
-        miss = np.flatnonzero(~((unique_a & unique_b & (top_a == top_b)) | clamped_a))
+        (top_a, certain_a), (top_b, certain_b) = tops[a], tops[b]
+        miss = np.flatnonzero(~(certain_a & certain_b & (top_a == top_b)))
         if (b - a - 1) * miss.size * _ANCHOR_COST > top_a.size:
             mid = (a + b) // 2
             tops[mid] = _ratio_top(e_d, lambdas[mid], sigma_d, inv)
@@ -356,9 +352,8 @@ def _anchored_plan(
     for t in range(size):
         if t in tops:
             anchor = t
-            top_t, unique, clamped = tops[t]
-            sel = np.where(clamped, fallback, top_t)
-            plan.append((t, sel, np.flatnonzero(~(unique | clamped))))
+            sel, certain = tops[t]
+            plan.append((t, sel, np.flatnonzero(~certain)))
         else:
             plan.append((anchor, sel, redo[anchor]))
     return plan
@@ -367,13 +362,12 @@ def _anchored_plan(
 def _block_outcomes(
     p: SystemParams, scheme: Scheme, mode: KnowledgeMode, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial outcomes of one point over a block of uniform rows.
+    """Per-trial indicators (non-zero rate, transmitted, outage) of one point over a block of uniform rows.
 
-    Returns (rates, transmitted, outage).  Mirrors `select` exactly, fed
-    the unit gains for the scale-free rules (`_choose`): same scores, and
-    argmax ties resolving to the lowest index.  A live trial's rate is
-    log2 X where its SNR ratio X exceeds 1, else 0, and it is an outage
-    where X < 2^r_th; dead or silent trials always are.
+    Picks as `select` does, fed the unit gains for the scale-free rules
+    (`_choose`): same scores, and argmax ties resolving to the lowest
+    index.  The outcomes are `_Selection.hits`; dead or silent trials are
+    outages.
     """
     k = p.k
     e_d, e_e = _unit_gains(u, k)
@@ -382,16 +376,14 @@ def _block_outcomes(
         transmitted, mask = active.any(axis=0), active
     else:
         transmitted, mask = np.ones(u.shape[0], dtype=bool), None
-    link = _Selection(_choose(p, scheme, e_d, e_e, mask), e_d, e_e)
-    ratio, live = link.ratio(p), link.live(p.delta, active)
-    rate = np.log2(ratio, out=np.zeros(ratio.size), where=live & (ratio > 1.0))
-    return rate, transmitted, ~live | (ratio < p.rho)
+    nzr, outage = _Selection(_choose(p, scheme, e_d, e_e, mask), e_d, e_e).hits(p, active)
+    return nzr, transmitted, outage
 
 
 def _all_outcomes(
     p: SystemParams, scheme: Scheme, mode: KnowledgeMode, trials: int, seed: int, block: int = DEFAULT_BLOCK
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial (rates, transmitted, outage) arrays for `trials` trials: the reference of `simulate_grid`."""
+    """Per-trial (non-zero rate, transmitted, outage) arrays for `trials` trials: the reference of `simulate_grid`."""
     _check_run(trials, block)
     blocks = [
         _block_outcomes(p, scheme, mode, uniform_block(seed, p.k, start, min(block, trials - start)))
@@ -455,9 +447,9 @@ def simulate_grid(
     distinct delta, all in (k, block) layout.  Per group the block gets one
     plan, an (anchor, picks, trials to re-select) per position
     (`_anchored_plan`, or one `_choose` for the group), and each anchor's
-    picks make one `_Selection`.  Each point adds only its SNR-ratio
-    numerator, its re-selection of the trials an anchor does not certify,
-    and its hit counts: X > 1 and X < 2^r_th.  Memory is O(block)
+    picks make one `_Selection`.  Each point adds only its destination
+    gain over noise, its re-selection of the trials an anchor does not
+    certify, and its hit counts (`_Selection.hits`).  Memory is O(block)
     whatever `trials` and the number of points, and every estimate equals
     `simulate_point` on that point alone, at any block size.
     """
@@ -483,9 +475,8 @@ def simulate_grid(
             lead, scheme, mode = points[next(iter(axis.values()))[0]]  # what the key holds
             mask = gates[lead.delta] if mode is KnowledgeMode.AVAILABLE else None
             if route == "anchored":
-                fallback = 0 if mask is None else mask.argmax(axis=0).astype(np.uint8)
                 inv = _inverse_snr(e_e, lead, mask)  # (k, block): freed once `_anchored_plan` returns
-                plan = _anchored_plan(e_d, list(axis), lead.sigma_d, inv, fallback)
+                plan = _anchored_plan(e_d, list(axis), lead.sigma_d, inv)
                 del inv
             else:
                 plan = [(0, _choose(lead, scheme, e_d, e_e, mask), ())]
@@ -495,19 +486,13 @@ def simulate_grid(
                 for i in members:
                     p = points[i][0]
                     active = gates[p.delta]
-                    ratio, live = shared.ratio(p), shared.live(p.delta, active)
-                    if route == "anchored" and p.r_th == 0.0:  # at a shared ratio of exactly 1 the
-                        # clamp picks the fallback link (`_anchored_plan`), dead or below ratio 1: an outage
-                        ratio[(sel != fallback) & (ratio == 1.0)] = 0.0
+                    nzr, outage = shared.hits(p, active)
                     if len(redo):  # trials the shared pick does not certify: this point's own pick
                         gated = None if mask is None else mask[:, redo]
                         own = _choose(p, scheme, e_d[:, redo], e_e[:, redo], gated)
-                        own = _Selection(own, e_d, e_e, trials=redo)
-                        ratio[redo] = own.ratio(p)
-                        live = live.copy()
-                        live[redo] = own.live(p.delta, active)
-                    nzr_hits[i] += int(np.count_nonzero(live & (ratio > 1.0)))
-                    sop_hits[i] += int(np.count_nonzero(~live | (ratio < p.rho)))
+                        nzr[redo], outage[redo] = _Selection(own, e_d, e_e, trials=redo).hits(p, active)
+                    nzr_hits[i] += int(np.count_nonzero(nzr))
+                    sop_hits[i] += int(np.count_nonzero(outage))
     return [_estimates(nzr, sop, trials, seed) for nzr, sop in zip(nzr_hits, sop_hits)]
 
 

@@ -127,7 +127,7 @@ def selected_event_probability(
 
 
 def nzr(p: SystemParams, mode: KnowledgeMode) -> tuple[float, float]:
-    c = p.ratio_threshold
+    c = p.sigma_d / p.sigma_e
     p_zero, err = selected_event_probability(
         p, mode, lambda m: region_integral(p, m, lambda y: c * y)
     )

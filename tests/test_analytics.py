@@ -99,7 +99,7 @@ def test_outage_gain_bound_linear_in_eavesdropper_gain():
 def test_outage_bound_degenerates_to_ratio_threshold_at_zero_threshold():
     p = SystemParams(k=1, delta=1.0, lambda_d=1.0, lambda_e=1.0, sigma_d=2.0, sigma_e=8.0, r_th=0.0)
     for g_e in (0.5, 1.0, 7.0):
-        assert reference.outage_gain_bound(p, g_e) == pytest.approx(p.ratio_threshold * g_e)
+        assert reference.outage_gain_bound(p, g_e) == pytest.approx(p.sigma_d / p.sigma_e * g_e)
 
 
 def test_nzr_exact_matches_nested_quadrature_on_validate_grid():

@@ -251,6 +251,19 @@ def test_simulator_gain_over_noise_past_lambda_overflow_passes_check(capsys, tri
     assert captured.out.count("  check      = pass\n") == 4  # nzr and sop, both modes
 
 
+@pytest.mark.parametrize("r_th", ["0", "1"])
+def test_simulator_gains_over_noise_below_one_ulp_pass_check(capsys, r_th):
+    # at -3000 dB both gains over noise are about 1e-300, so 1 + g_d / sigma_d and
+    # 1 + g_e / sigma_e round to 1; the simulator decides on g_d / sigma_d against
+    # g_e / sigma_e, and NZR is about 0.99 (available) and 0.90 (unavailable)
+    code, captured = run(
+        ["point", "--trials", "2000", "--snr-db=-3000", "--lambda-e-db=-3000", "--rth", r_th, "--k", "3", "--check"],
+        capsys,
+    )
+    assert (code, captured.err) == (0, "")
+    assert captured.out.count("  check      = pass\n") == 4  # nzr and sop, both modes
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, captured = run(["frobnicate"], capsys)
     assert code == 1

@@ -86,11 +86,6 @@ def test_params_frozen_and_hashable():
     assert hash(p) == hash(SystemParams.from_db(k=2, delta=0.5, snr_db=10.0))
 
 
-def test_ratio_threshold_is_noise_ratio():
-    p = SystemParams(k=1, delta=1.0, lambda_d=1.0, lambda_e=1.0, sigma_d=2.0, sigma_e=8.0)
-    assert p.ratio_threshold == pytest.approx(0.25)
-
-
 def test_secrecy_rate_formula_and_clamp():
     # equal SNRs give rate 0; dominant destination SNR gives the log2 ratio
     assert secrecy_rate(1.0, 2.0, 1.0, 2.0) == 0.0

@@ -137,9 +137,9 @@ def test_grid_engine_counts_match_per_trial_arrays():
     trials = 3000
     points = mixed_grid(k=2)
     for (p, scheme, mode), est in zip(points, simulate_grid(points, trials, seed=5, block=700)):
-        rates, _, _ = simulator._all_outcomes(p, scheme, mode, trials, seed=5)
+        nzr, _, _ = simulator._all_outcomes(p, scheme, mode, trials, seed=5)
         outage = outage_indicators(p, scheme, mode, trials, seed=5)
-        assert est[Metric.NZR].value == np.count_nonzero(rates > 0.0) / trials
+        assert est[Metric.NZR].value == np.count_nonzero(nzr) / trials
         assert est[Metric.SOP].value == np.count_nonzero(outage) / trials
 
 
@@ -227,11 +227,11 @@ def _tied_rows():
 
 
 def _assert_engine_matches_select(p, u, seed):
-    """Per scheme and mode, `select` on the rows `u` of stream `seed` gives the engine's picks, hits and rates.
+    """Per scheme and mode, `select` on the rows `u` of stream `seed` gives the engine's picks and outcomes.
 
     Picks and hit counts come from `_select_outcomes`, which feeds `select`
-    the gains the engine picks on; each rate is `secrecy_rate` of the
-    scaled gains of that pick, 0 where its gate is down, as in `select`.
+    the gains the engine picks on; a trial has a non-zero rate where that
+    pick is live and `secrecy_rate` of its scaled gains exceeds 0.
     """
     trials = u.shape[0]
     e_d, e_e = simulator._unit_gains(u, p.k)
@@ -239,15 +239,15 @@ def _assert_engine_matches_select(p, u, seed):
     up = simulator._gates(u, p.k, p.delta)
     for scheme in Scheme:
         for mode in KnowledgeMode:
-            rates, transmitted, outage = simulator._all_outcomes(p, scheme, mode, trials, seed=seed, block=trials)
+            nonzero, transmitted, outage = simulator._all_outcomes(p, scheme, mode, trials, seed=seed, block=trials)
             picks, nzr, sop = _select_outcomes(p, scheme, mode, u)
             assert transmitted.tolist() == [i is not None for i in picks]
             chosen = simulator._choose(p, scheme, e_d, e_e, up if mode is AVAIL else None).tolist()
             assert picks == [c if sent else None for c, sent in zip(chosen, transmitted)]
-            expected = [0.0 if i is None or not up[i, t] else secrecy_rate(g_d[i, t], g_e[i, t], p.sigma_d, p.sigma_e)
+            expected = [i is not None and up[i, t] and secrecy_rate(g_d[i, t], g_e[i, t], p.sigma_d, p.sigma_e) > 0.0
                         for t, i in enumerate(picks)]
-            assert rates == pytest.approx(expected, abs=1e-12)
-            assert (np.count_nonzero(rates > 0.0), np.count_nonzero(outage)) == (nzr, sop)
+            assert nonzero.tolist() == expected
+            assert (np.count_nonzero(nonzero), np.count_nonzero(outage)) == (nzr, sop)
             est = simulate_grid([(p, scheme, mode)], trials, seed=seed, block=trials)[0]
             assert (est[Metric.NZR].value, est[Metric.SOP].value) == (nzr / trials, sop / trials)
 
@@ -342,9 +342,10 @@ def _select_outcomes(p, scheme, mode, u, scaled_picks=False):
     The realization is built from the numpy gains, so both sides see the
     same floats: the scale-free rules pick on the unit gains (on the
     scaled ones with `scaled_picks`), the optimal rule on the scaled
-    gains.  The outcome rule is the engine's: the SNR ratio X of the scaled
-    gains, a non-zero rate where X > 1 and an outage where X < 2^r_th, with
-    NaN (inf / inf) neither a hit nor an outage.
+    gains.  The outcome rule is the engine's, on the gains over noise
+    a = g_d / sigma_d and b = g_e / sigma_e of the scaled gains: a non-zero
+    rate where a > b, and an outage where a < b if rho == 1 and where
+    X = (1 + a) / (1 + b) < rho otherwise, with NaN (inf / inf) neither.
     """
     e_d, e_e = simulator._unit_gains(u, p.k)
     with np.errstate(over="ignore"):  # a gain past the float range is +inf, as in the engine
@@ -356,12 +357,14 @@ def _select_outcomes(p, scheme, mode, u, scaled_picks=False):
         real = ChannelRealization(tuple(on_d[:, t].tolist()), tuple(on_e[:, t].tolist()), active)
         out = select(p, scheme, mode, real)
         picks.append(out.selected)
-        live, ratio = out.transmitted and active[out.selected], 1.0
-        if live:
-            with np.errstate(over="ignore", invalid="ignore"):
-                ratio = (1.0 + g_d[out.selected, t] / p.sigma_d) / (1.0 + g_e[out.selected, t] / p.sigma_e)
-        nzr += bool(live and ratio > 1.0)
-        sop += bool(not live or ratio < p.rho)
+        if not (out.transmitted and active[out.selected]):
+            sop += 1
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b = g_d[out.selected, t] / p.sigma_d, g_e[out.selected, t] / p.sigma_e
+            below = a < b if p.rho == 1.0 else (1.0 + a) / (1.0 + b) < p.rho
+        nzr += bool(a > b)
+        sop += bool(below)
     return picks, nzr, sop
 
 
@@ -380,11 +383,11 @@ def _engine_outcomes(points, u):
     assert grid == [simulate_point(p, s, m, trials, seed=1, block=max(1, trials // 3)) for p, s, m in points]
     outcomes = []
     for (p, scheme, mode), est in zip(points, grid):
-        rates, _, _ = simulator._all_outcomes(p, scheme, mode, trials, seed=1, block=trials)
+        nzr, _, _ = simulator._all_outcomes(p, scheme, mode, trials, seed=1, block=trials)
         outage = outage_indicators(p, scheme, mode, trials, seed=1, block=trials)
         hits = (round(est[Metric.NZR].value * trials), round(est[Metric.SOP].value * trials))
-        assert hits == (np.count_nonzero(rates > 0.0), np.count_nonzero(outage)), (p, scheme, mode)
-        outcomes.append((rates > 0.0, outage))
+        assert hits == (np.count_nonzero(nzr), np.count_nonzero(outage)), (p, scheme, mode)
+        outcomes.append((nzr, outage))
     return outcomes
 
 
@@ -445,17 +448,17 @@ def _exact_outcomes(p, scheme, mode, e_d, e_e, up, links):
     """Per trial, (non-zero rate, outage, excused) of exact arithmetic on the engine's unit gains.
 
     The pick is the exact argmax, ties to the lowest index, of e_d / e_e
-    (inf where e_e = 0), e_d, -e_e or, for the optimal rule, max(X, 1);
-    the outcomes are X > 1 and X < fl(2^r_th) of a live pick.  Under the
-    optimal rule, links whose gain over noise g_d / sigma_d is past the
-    float maximum and g_e / sigma_e within it score inf, so the engine
-    picks one of them, whichever the exact argmax is: their exact
-    outcome, where they all share it, is the trial's.  A trial is
-    excused, where rounding may decide it, only if the picked X lies
-    within a relative 2^-48 of 1 or of rho, or under the optimal rule if
-    the links at inf share no outcome, or, with none at inf, if a top
-    score above 1 lies within 2^-48 of the runner-up, some candidate's X
-    lies within 2^-48 of 1, or some candidate's gain over noise exceeds
+    (inf where e_e = 0), e_d, -e_e or, for the optimal rule, the SNR ratio
+    X.  With a = g_d / sigma_d and b = g_e / sigma_e of a live pick, the
+    outcomes are a > b and, if rho = fl(2^r_th) is 1, a < b, else X < rho.
+    Under the optimal rule, links whose a is past the float maximum and b
+    within it score inf, so the engine picks one of them, whichever the
+    exact argmax is: their exact outcome, where they all share it, is the
+    trial's.  A trial is excused, where rounding may decide it, only if
+    the picked a and b lie within a relative 2^-48 of each other, or its
+    X within 2^-48 of rho > 1, or under the optimal rule if the links at
+    inf share no outcome, or, with none at inf, if the top X lies within
+    2^-48 of the runner-up, or some candidate's gain over noise exceeds
     the float maximum or lies within 2^-48 of it.
     """
     rho = Fraction(p.rho)
@@ -469,8 +472,9 @@ def _exact_outcomes(p, scheme, mode, e_d, e_e, up, links):
         ratio = [x for x, _, _ in terms]
 
         def outcome(i):
-            x = ratio[i]
-            return up[t][i] and x > 1, not up[t][i] or x < rho, abs(x - 1) <= _NEAR or abs(x - rho) <= _NEAR * rho
+            x, a, b = terms[i]
+            below, near = (a < b, False) if rho == 1 else (x < rho, abs(x - rho) <= _NEAR * rho)
+            return up[t][i] and a > b, not up[t][i] or below, near or abs(a - b) <= _NEAR * max(a, b)
 
         if scheme is Scheme.RTS:
             score = [(1, 0) if x_e == 0.0 else (0, Fraction(x_d) / Fraction(x_e))  # (1, 0): inf
@@ -480,7 +484,7 @@ def _exact_outcomes(p, scheme, mode, e_d, e_e, up, links):
         elif scheme is Scheme.MIN_ES:
             score = [-x for x in e_e[t]]
         else:
-            score = [max(x, 1) for x in ratio]
+            score = ratio
         nzr, sop, excused = outcome(max(cands, key=score.__getitem__))  # the first of equal maxima
         if scheme is Scheme.OPTIMAL:
             near_max = any(abs(g - _FLOAT_MAX) <= _NEAR * _FLOAT_MAX for i in cands for g in terms[i][1:])
@@ -491,8 +495,8 @@ def _exact_outcomes(p, scheme, mode, e_d, e_e, up, links):
                 excused |= len(shared) > 1
             else:
                 top, *rest = sorted((score[i] for i in cands), reverse=True)
-                excused |= top > 1 and bool(rest) and top - rest[0] <= _NEAR * top
-                excused |= near_max or any(abs(ratio[i] - 1) <= _NEAR or max(terms[i][1:]) > _FLOAT_MAX for i in cands)
+                excused |= bool(rest) and top - rest[0] <= _NEAR * top
+                excused |= near_max or any(max(terms[i][1:]) > _FLOAT_MAX for i in cands)
         out.append((nzr, sop, excused))
     return out
 
@@ -531,17 +535,19 @@ def test_extreme_lambdas_select_on_their_own_gains():
     3080 dB e / lambda overflows for the larger unit gains although the
     gain over noise may not.  A `Fraction` referee decides every trial on
     the engine's unit gains; it excuses only the trials in which rounding
-    may decide the outcome, and counts them per point: at (-3000, -3000)
-    dB, where every ratio rounds to 1, and under the optimal rule at
-    3080 dB, where some gains over noise exceed the float range and tie
-    at inf, only in the trials whose links at inf differ in their gates.
+    may decide the outcome, and counts them per point.  Only the optimal
+    rule has any: at (-3000, -3000) dB, where every ratio rounds to 1 and
+    its candidates tie, and at 3080 dB, where some gains over noise exceed
+    the float range and tie at inf, in the trials whose links at inf
+    differ in their gates.  The other rules decide even the (-3000,
+    -3000) dB trials on the gains over noise, with rho = 2 and rho = 1.
     """
     axis = (-3000.0, 10.0, 3000.0, 3080.0)
     cells = [
-        ((snr, le), (params(k=3, delta=delta, snr_db=snr, lambda_e_db=le), scheme, mode))
+        ((snr, le), (params(k=3, delta=delta, snr_db=snr, lambda_e_db=le, r_th=r_th), scheme, mode))
         for snr in axis
         for le in axis
-        for delta in (0.35, 1.0)
+        for delta, r_th in ((0.35, 1.0), (1.0, 1.0), (0.35, 0.0))  # rho = 2, and rho = 1: outage is a < b
         for scheme in Scheme
         for mode in KnowledgeMode
     ]
@@ -562,15 +568,18 @@ def test_extreme_lambdas_select_on_their_own_gains():
         up = simulator._gates(u, 3, p.delta)
         for t, (nzr, sop, excuse) in enumerate(_exact_outcomes(p, scheme, mode, e_d, e_e, up, links[cell])):
             if excuse:
-                key = cell, scheme, mode, p.delta
+                key = cell, scheme, mode, p.delta, p.r_th
                 excused[key] = excused.get(key, 0) + 1
             else:
                 assert (engine[0][t], engine[1][t]) == (nzr, sop), (p, scheme, mode, t)
-    # every ratio rounds to 1 at (-3000, -3000) dB, where only all-dead trials count (as outages)
-    expected = {((-3000.0, -3000.0), s, m, d): 400 for s in Scheme for m in KnowledgeMode for d in (0.35, 1.0)}
-    expected.update({((-3000.0, -3000.0), s, AVAIL, 0.35): 296 for s in Scheme})
+    # every ratio rounds to 1 at (-3000, -3000) dB, so the optimal rule's candidates tie, but for
+    # the trials with at most one of them
+    runs = ((0.35, 1.0), (1.0, 1.0), (0.35, 0.0))
+    expected = {((-3000.0, -3000.0), Scheme.OPTIMAL, m, *run): 400 for m in KnowledgeMode for run in runs}
+    for r_th in (0.0, 1.0):
+        expected[(-3000.0, -3000.0), Scheme.OPTIMAL, AVAIL, 0.35, r_th] = 119
     # at 3080 dB the optimal rule's links at inf differ in their gates in a few trials
-    expected.update({((3080.0, le), Scheme.OPTIMAL, UNAVAIL, 0.35): 5 for le in axis})
+    expected.update({((3080.0, le), Scheme.OPTIMAL, UNAVAIL, 0.35, r_th): 5 for le in axis for r_th in (0.0, 1.0)})
     assert excused == expected
 
 
@@ -609,17 +618,6 @@ def test_overflowed_ratios_pick_on_unit_gains(tmp_path):
 
 
 # --- optimal picks shared along the SNR axis ---------------------------------
-
-
-def test_log2_is_positive_exactly_above_one():
-    """The engine counts a non-zero rate where X > 1, and `_all_outcomes` reports log2 X there.
-
-    The two agree as long as numpy's log2 is positive exactly above 1;
-    checked within 64 ulps either side of 1, and at 1 itself.
-    """
-    x = np.concatenate([1.0 - np.arange(65) * 2.0**-53, 1.0 + np.arange(1, 65) * 2.0**-52])
-    assert np.array_equal(np.log2(x) > 0.0, x > 1.0)
-    assert (np.log2(x) == 0.0).sum() == 1
 
 
 def _ratio_rows(seed=5, bulk=400):
@@ -682,21 +680,24 @@ def test_engine_matches_select_on_forged_rate_ratios(monkeypatch):
 
 
 def test_anchored_plan_shares_and_re_selects_on_forged_rows():
-    """The forged rows reach every branch: anchors, shared runs, re-selection and the clamp."""
+    """The forged rows reach every branch: anchors, shared runs and re-selection, gated or not."""
     u = _ratio_rows()
     e_d, e_e = simulator._unit_gains(u, 3)
     grid = _ratio_grid()
     p = grid[0][0]
     lambdas = sorted({q.lambda_d for q, _, _ in grid})
-    plan = simulator._anchored_plan(e_d, lambdas, p.sigma_d, simulator._inverse_snr(e_e, p, None), 0)
-    anchors = {anchor for anchor, _, _ in plan}
-    inner = [redo.size for t, (anchor, _, redo) in enumerate(plan) if t != anchor]
-    assert 2 <= len(anchors) < len(lambdas)
-    assert inner and all(0 < size < u.shape[0] for size in inner)
-    inv = simulator._inverse_snr(e_e, p, None)
-    _, unique, clamped = simulator._ratio_top(e_d, lambdas[0], p.sigma_d, inv)  # 80 dB
-    assert (unique & ~clamped).any() and not unique.all()
-    assert simulator._ratio_top(e_d, lambdas[-1], p.sigma_d, inv)[2].any()  # -30 dB
+    for mask in (None, simulator._gates(u, 3, 0.5)):
+        inv = simulator._inverse_snr(e_e, p, mask)
+        plan = simulator._anchored_plan(e_d, lambdas, p.sigma_d, inv)
+        anchors = {anchor for anchor, _, _ in plan}
+        inner = [redo.size for t, (anchor, _, redo) in enumerate(plan) if t != anchor]
+        assert 2 <= len(anchors) < len(lambdas)
+        assert inner and all(0 < size < u.shape[0] for size in inner)
+        for lam in (lambdas[0], lambdas[-1]):  # 80 and -30 dB
+            certain = simulator._ratio_top(e_d, lam, p.sigma_d, inv)[1]
+            assert certain.any() and not certain.all()
+            if mask is not None:  # every pick of an all-dead trial is dead
+                assert certain[~mask.any(axis=0)].all() and not mask.any(axis=0).all()
 
 
 @settings(max_examples=150, deadline=None)
@@ -714,8 +715,6 @@ def test_anchored_plan_shares_and_re_selects_on_forged_rows():
 def test_anchored_pick_is_the_per_point_pick(k, gains, gaps, dead, lambda_ds, lambda_e, sigma_d, sigma_e, seed):
     """On the trials a position does not re-select, the shared pick is `_choose`'s, at any safe axis.
 
-    The shared pick stands where its SNR ratio exceeds 1 and the clamp
-    fallback (first live link, or 0) elsewhere, as the engine counts it.
     In every trial link b + 1 gets link 0's e_e and its e_d moved by gaps[b]
     ulps, so near-ties are the rule.
     """
@@ -732,17 +731,13 @@ def test_anchored_pick_is_the_per_point_pick(k, gains, gaps, dead, lambda_ds, la
     points = [SystemParams(k=k, delta=0.5, lambda_d=lam, lambda_e=lambda_e, sigma_d=sigma_d, sigma_e=sigma_e)
               for lam in lambdas]
     for mask in (None, up):
-        fallback = 0 if mask is None else up.argmax(axis=0).astype(np.uint8)
         inv = simulator._inverse_snr(e_e, points[0], mask)
-        plan = simulator._anchored_plan(e_d, lambdas, sigma_d, inv, fallback)
+        plan = simulator._anchored_plan(e_d, lambdas, sigma_d, inv)
         for p, (_, sel, redo) in zip(points, plan):
             expected = simulator._choose(p, Scheme.OPTIMAL, e_d, e_e, mask)
-            at = sel.astype(np.intp) * trials + np.arange(trials)
-            num = 1.0 + e_d.take(at) / p.lambda_d / p.sigma_d
-            ratio = num / (1.0 + e_e.take(at) / p.lambda_e / p.sigma_e)
             kept = np.ones(trials, dtype=bool)
             kept[redo] = False
-            assert np.array_equal(np.where(ratio > 1.0, sel, fallback)[kept], expected[kept])
+            assert np.array_equal(sel[kept], expected[kept])
 
 
 def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
@@ -783,7 +778,7 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
     simulate_grid(points, trials, seed=1)
     blocks = -(-trials // simulator.DEFAULT_BLOCK)
     # rts 1, tts 1, min-es 1 and optimal 4 anchors, against 13 + 13 + 1 + 13 per lambda
-    assert calls == {"full": 7 * blocks, "anchors": 4 * blocks, "redo": 62_440}
+    assert calls == {"full": 7 * blocks, "anchors": 4 * blocks, "redo": 62_444}
 
 
 # --- scalar selection --------------------------------------------------------
@@ -953,9 +948,9 @@ def test_optimal_outage_never_exceeds_any_scheme_per_trial():
 def test_optimal_and_rts_share_the_nonzero_rate_event():
     # a positive best-rate pair exists iff the best ratio clears the bar
     p = params(k=4, delta=0.8)
-    r_opt, _, _ = simulator._all_outcomes(p, Scheme.OPTIMAL, AVAIL, 50_000, seed=29)
-    r_rts, _, _ = simulator._all_outcomes(p, Scheme.RTS, AVAIL, 50_000, seed=29)
-    assert np.array_equal(r_opt > 0.0, r_rts > 0.0)
+    nzr_opt, _, _ = simulator._all_outcomes(p, Scheme.OPTIMAL, AVAIL, 50_000, seed=29)
+    nzr_rts, _, _ = simulator._all_outcomes(p, Scheme.RTS, AVAIL, 50_000, seed=29)
+    assert np.array_equal(nzr_opt, nzr_rts)
 
 
 def test_zero_threshold_outage_is_zero_rate_event():
