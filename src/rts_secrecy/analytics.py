@@ -23,8 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, TextIO
 
-# not called here; it stays an analytics attribute for profilers that wrap it by name
-from scipy import integrate  # noqa: F401
+# not called here: profilers read sys.modules["scipy"] and wrap analytics.integrate by name,
+# so a bare import (its submodules load lazily) and `__getattr__` keep both without the cost
+import scipy  # noqa: F401
 
 from .params import MAX_TRANSMITTERS, KnowledgeMode, Metric, SystemParams
 from .specfun import (
@@ -41,6 +42,14 @@ _RANGE_SLACK = 1e-12
 VERDICT_MATCH = "MATCH"
 VERDICT_MISMATCH = "MISMATCH"
 VERDICT_OUT_OF_RANGE = "OUT_OF_RANGE"
+
+
+def __getattr__(name: str):
+    if name == "integrate":
+        import scipy.integrate
+
+        return scipy.integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -121,10 +130,14 @@ def nzr_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
     largest live ratio must exceed c: 1 - (1 - delta t)^k.  Without it the
     largest of all k ratios must, and its gate must be up:
     delta (1 - (1 - t)^k).  expm1/log1p keep the digits of small values,
-    and `_scaled` those of lambda_d c where c alone is out of range.
+    and `_scaled` those of lambda_d c where c alone is out of range, and of
+    t = 1/(1 + lambda_d c/lambda_e) where lambda_d c + lambda_e is.
     """
     lam_dc = _scaled(lambda l, d, e: l * (d / e), (1, 1, -1), p.lambda_d, p.sigma_d, p.sigma_e)
     t = p.lambda_e / (lam_dc + p.lambda_e)
+    if lam_dc + p.lambda_e == math.inf:
+        scales = (p.lambda_d, p.sigma_d, p.sigma_e, p.lambda_e)
+        t = 1.0 / (1.0 + _scaled(lambda l, d, e, f: l * (d / e) / f, (1, 1, -1, -1), *scales))
     gate_p, weight = (p.delta, 1.0) if mode is KnowledgeMode.AVAILABLE else (1.0, p.delta)
     live_t = gate_p * t
     value = weight * (1.0 if live_t >= 1.0 else -math.expm1(p.k * math.log1p(-live_t)))

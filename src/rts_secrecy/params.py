@@ -131,15 +131,10 @@ class SystemParams:
 
 
 def secrecy_rate(g_d: float, g_e: float, sigma_d: float, sigma_e: float) -> float:
-    """Instantaneous secrecy rate, log2 ratio of the two SNR terms, floored at 0."""
+    """log2((1 + a)/(1 + b)) where a = g_d/sigma_d > b = g_e/sigma_e, else 0, without rounding 1 + a or 1 + b."""
     if g_d < 0.0 or g_e < 0.0:
         raise ValueError("channel gains must be non-negative")
     if sigma_d <= 0.0 or sigma_e <= 0.0:
         raise ValueError("noise powers must be positive")
-    ratio = snr_ratio(g_d, g_e, sigma_d, sigma_e)  # 0 or NaN once g_e overflows to inf
-    return math.log2(ratio) if ratio > 1.0 else 0.0
-
-
-def snr_ratio(g_d: float, g_e: float, sigma_d: float, sigma_e: float) -> float:
-    """SNR ratio (1 + g_d/sigma_d)/(1 + g_e/sigma_e): the secrecy rate is its log2 where it exceeds 1."""
-    return (1.0 + g_d / sigma_d) / (1.0 + g_e / sigma_e)
+    a, b = g_d / sigma_d, g_e / sigma_e
+    return math.log1p((a - b) / (1.0 + b)) / math.log(2.0) if a > b else 0.0

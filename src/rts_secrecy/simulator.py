@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .params import KnowledgeMode, Metric, Scheme, SystemParams, secrecy_rate, snr_ratio
+from .params import KnowledgeMode, Metric, Scheme, SystemParams, secrecy_rate
 
 DEFAULT_BLOCK = 1 << 14
 _WORDS_PER_COUNTER_STEP = 4
@@ -119,7 +119,7 @@ def _score(scheme: Scheme, p: SystemParams, g_d: float, g_e: float) -> float:
         return g_d
     if scheme is Scheme.MIN_ES:
         return -g_e
-    ratio = snr_ratio(g_d, g_e, p.sigma_d, p.sigma_e)
+    ratio = (1.0 + g_d / p.sigma_d) / (1.0 + g_e / p.sigma_e)  # the SNR ratio X
     return 0.0 if math.isnan(ratio) else ratio  # as in `_choose`: NaN (inf / inf) scores 0
 
 
@@ -172,8 +172,13 @@ def _gates(u: np.ndarray, k: int, delta: float) -> np.ndarray:
     return np.ascontiguousarray((u[:, 2 * k : 3 * k] < delta).T)
 
 
-def _snr(e: np.ndarray, lam: float, sigma: float) -> np.ndarray:
-    """Gain over noise e / lambda / sigma of unit gains e, each 0 or in [2^-53, 36.75] (`_unit_gains`).
+def _exponent(lam: float, sigma: float) -> int:
+    """n = -(x_l + x_s) of `_snr`: its gains over noise lie in [2^-53, 147] 2^n, or are 0."""
+    return -(math.frexp(lam)[1] + math.frexp(sigma)[1])
+
+
+def _snr(e: np.ndarray, lam: float, sigma: float, shift: int = 0) -> np.ndarray:
+    """Gain over noise e / lambda / sigma, over 2^shift, of unit gains e (`_unit_gains`): 0 or in [2^-53, 36.75].
 
     e / m_l / m_s, with m_l and m_s the frexp mantissas of lambda and sigma
     in [0.5, 1), lies in [2^-53, 147], and one ldexp by their exponents
@@ -183,7 +188,7 @@ def _snr(e: np.ndarray, lam: float, sigma: float) -> np.ndarray:
     """
     (m_l, x_l), (m_s, x_s) = math.frexp(lam), math.frexp(sigma)
     with np.errstate(over="ignore"):  # only where e / (lambda sigma) itself is past the float range
-        return np.ldexp(e / m_l / m_s, -(x_l + x_s))
+        return np.ldexp(e / m_l / m_s, -(x_l + x_s) - shift)
 
 
 def _first_argmax(
@@ -269,9 +274,11 @@ class _Selection:
         non-zero where a > b, which needs no sum with 1 (1 + a and 1 + b
         round to 1 below about 2^-53).  It is in outage where a < b if
         rho = fl(2^r_th) is 1, else where X' = (1 + a) / (1 + b) < rho; a
-        dead link always is.  Where a or b is inf (about 3080 dB of mean
-        gain over noise power) X' is inf or 0, the right limit; where both
-        are, neither outcome holds.
+        dead link always is.  Where a or b may leave the normal range
+        (`_exponent` past +-960), they are compared over 2^max(n_d, n_e): one
+        is then 0 or in [2^-53, 147], and the other underflows only far below
+        it.  X' is inf or 0 where one of a and b is inf, the right limit, and
+        where both are, their quotient on their own scales times 2^(n_d - n_e).
         """
         key = p.lambda_e, p.sigma_e
         if key not in self._snr_e:
@@ -279,8 +286,15 @@ class _Selection:
         if p.delta not in self._lives:
             self._lives[p.delta] = active.take(self.pick)
         a, b, live = _snr(self.e_d, p.lambda_d, p.sigma_d), self._snr_e[key], self._lives[p.delta]
-        with np.errstate(invalid="ignore"):  # inf / inf
-            below = a < b if p.rho == 1.0 else (1.0 + a) / (1.0 + b) < p.rho
+        n_d, n_e = _exponent(p.lambda_d, p.sigma_d), _exponent(p.lambda_e, p.sigma_e)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # inf / inf; x / 0 is not read
+            ratio = None if p.rho == 1.0 else (1.0 + a) / (1.0 + b)
+            if max(abs(n_d), abs(n_e)) > 960:  # a or b may be inf, 0 or subnormal
+                a, b = _snr(self.e_d, p.lambda_d, p.sigma_d, n_d), _snr(self.e_e, p.lambda_e, p.sigma_e, n_e)
+                if ratio is not None:
+                    np.copyto(ratio, np.ldexp(a / b, n_d - n_e), where=np.isnan(ratio))
+                a, b = np.ldexp(a, min(n_d - n_e, 0)), np.ldexp(b, min(n_e - n_d, 0))
+        below = a < b if ratio is None else ratio < p.rho
         return live & (a > b), ~live | below
 
 

@@ -164,6 +164,15 @@ def test_oracles_where_an_intermediate_product_overflows():
         assert abs(sop_oracle(p, mode).value - sop) <= 1e-12 * sop
 
 
+@pytest.mark.parametrize("db", [-3080.0, 3000.0])
+def test_nzr_where_lambda_d_c_plus_lambda_e_overflows(db):
+    # lambda_d c = lambda_e, so t = 1/2; at -3080 dB both are 1e308 and their sum
+    # overflows, at 3000 dB (1e-300 each) it does not
+    p = SystemParams.from_db(k=4, delta=0.35, snr_db=db, lambda_e_db=db, sigma_d_db=-db, sigma_e_db=-db)
+    assert nzr_oracle(p, AVAIL).value == pytest.approx(1 - (1 - 0.35 / 2) ** 4, rel=1e-14)
+    assert nzr_oracle(p, UNAVAIL).value == pytest.approx(0.35 * (1 - 0.5**4), rel=1e-14)
+
+
 def test_nzr_when_every_ratio_clears_the_threshold():
     # at 200 dB the chance that one ratio exceeds c rounds to exactly 1
     p = SystemParams.from_db(k=3, delta=1.0, snr_db=200.0)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -264,6 +265,21 @@ def test_simulator_gains_over_noise_below_one_ulp_pass_check(capsys, r_th):
     assert captured.out.count("  check      = pass\n") == 4  # nzr and sop, both modes
 
 
+@pytest.mark.parametrize("db", ["3080", "-3080"])
+def test_simulator_gains_over_noise_past_the_float_range_pass_check(capsys, db):
+    # mean gains of 10^(db/10) over noise powers of 10^(-db/10): both gains over noise
+    # overflow (3080) or underflow (-3080), yet g_d / sigma_d against g_e / sigma_e
+    # decides NZR, about 0.54 (available) and 0.33 (unavailable)
+    minus = str(-int(db))
+    code, captured = run(
+        ["point", "--trials", "2000", f"--snr-db={db}", f"--lambda-e-db={db}", f"--sigma-d-db={minus}",
+         f"--sigma-e-db={minus}", "--k", "4", "--delta", "0.35", "--check"],
+        capsys,
+    )
+    assert (code, captured.err) == (0, "")
+    assert captured.out.count("  check      = pass\n") == 4  # nzr and sop, both modes
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, captured = run(["frobnicate"], capsys)
     assert code == 1
@@ -520,16 +536,21 @@ def test_stdout_output(capsys):
     assert CSV_HEADER in captured.out
 
 
-def freeze_count_after(statement):
-    """gc.get_freeze_count() after `statement` in a fresh interpreter."""
+def fresh_value(statement, expr):
+    """`expr`, printed as a literal, after `statement` in a fresh interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = f"import gc\n{statement}\nprint(gc.get_freeze_count())"
+    code = f"import gc, sys\n{statement}\nprint(repr({expr}))"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    return int(done.stdout)
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+def freeze_count_after(statement):
+    """gc.get_freeze_count() after `statement` in a fresh interpreter."""
+    return fresh_value(statement, "gc.get_freeze_count()")
 
 
 def test_cli_import_freezes_the_imported_heap():
@@ -538,6 +559,34 @@ def test_cli_import_freezes_the_imported_heap():
 
 def test_library_import_leaves_the_heap_unfrozen():
     assert freeze_count_after("import rts_secrecy") == 0
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_no_command_loads_scipy_submodules():
+    """Commands load only what a bare `import scipy` loads; the quadrature and special functions stay out.
+
+    A fresh interpreter is needed: pytest's warning filters import scipy.integrate here.
+    """
+    bare = set(fresh_value("import scipy", _SCIPY_MODULES))
+    for argv in (["compare", "--trials", "200"], ["validate", "--trials", "100"]):
+        statement = (
+            "import contextlib, io\nfrom rts_secrecy import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({argv!r}) in (0, 2)"
+        )
+        loaded = set(fresh_value(statement, _SCIPY_MODULES))
+        assert "scipy" in loaded and loaded <= bare, (argv, loaded - bare)
+        assert not loaded & {"scipy.integrate", "scipy.special", "scipy.linalg"}
+
+
+def test_analytics_integrate_is_scipy_integrate_on_access():
+    # profilers read and rebind `analytics.integrate` by name
+    import scipy.integrate
+
+    assert analytics.integrate is scipy.integrate
+    with pytest.raises(AttributeError):
+        analytics.no_such_name
 
 
 # A small grammar of flag values (MacIver et al., "Hypothesis: A new approach

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rts_secrecy.params import (
     KnowledgeMode,
@@ -92,10 +94,30 @@ def test_secrecy_rate_formula_and_clamp():
     assert secrecy_rate(3.0, 1.0, 1.0, 1.0) == pytest.approx(math.log2(4.0 / 2.0))
     assert secrecy_rate(0.0, 5.0, 1.0, 1.0) == 0.0
     assert secrecy_rate(0.0, 0.0, 1.0, 1.0) == 0.0
-    # overflowed gains: log2 of 0 or of inf / inf is clamped, log2 of inf stays
+    # overflowed gains: inf / inf and a finite gain against inf are clamped, inf alone stays
     assert secrecy_rate(1.0, math.inf, 1.0, 1.0) == 0.0
     assert secrecy_rate(math.inf, math.inf, 1.0, 1.0) == 0.0
     assert secrecy_rate(math.inf, 1.0, 1.0, 1.0) == math.inf
+
+
+def test_secrecy_rate_keeps_gains_over_noise_below_one_ulp():
+    # 1 + a and 1 + b both round to 1, yet the rate is (a - b) / ln 2 to first order
+    assert secrecy_rate(1e-300, 1e-301, 1.0, 1.0) == pytest.approx(1.298e-300, rel=1e-3, abs=0.0)
+    assert secrecy_rate(1e-300, 1e-301, 1.0, 1.0) == pytest.approx(9e-301 / math.log(2.0), rel=1e-15, abs=0.0)
+    # log1p(a) - log1p(b) rounds to 0 here, with a one ulp above b
+    assert secrecy_rate(math.nextafter(1e10, math.inf), 1e10, 1.0, 1.0) > 0.0
+
+
+@given(
+    a=st.floats(0.0, allow_infinity=True, allow_nan=False),
+    b=st.floats(0.0, allow_infinity=True, allow_nan=False),
+)
+@example(a=5e-324, b=0.0)
+@example(a=1.0 + 2.0**-52, b=1.0)
+@example(a=math.inf, b=1.7976931348623157e308)
+def test_secrecy_rate_is_positive_exactly_where_the_engine_counts_a_non_zero_rate(a, b):
+    """The engine counts a non-zero rate where a = g_d / sigma_d > b = g_e / sigma_e."""
+    assert (secrecy_rate(a, b, 1.0, 1.0) > 0.0) == (a > b)
 
 
 def test_secrecy_rate_domain_errors():

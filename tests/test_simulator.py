@@ -583,6 +583,35 @@ def test_extreme_lambdas_select_on_their_own_gains():
     assert excused == expected
 
 
+_CLI_DB = st.floats(-3080.0, 3080.0)  # every value in it has a linear value and a reciprocal
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    dbs=st.tuples(_CLI_DB, _CLI_DB, _CLI_DB, _CLI_DB),
+    delta=st.sampled_from([0.0, 0.35, 1.0]),
+    r_th=st.sampled_from([0.0, 1.0, 3.0]),
+)
+@example(k=3, dbs=(-3000.0, -3000.0, 1.0, 10.0), delta=0.35, r_th=0.0)  # 1 + g / sigma rounds to 1
+@example(k=4, dbs=(3080.0, 3080.0, -3080.0, -3080.0), delta=1.0, r_th=3.0)  # both gains over noise overflow
+@example(k=4, dbs=(-3080.0, -3080.0, 3080.0, 3080.0), delta=0.35, r_th=1.0)  # both underflow to 0
+def test_engine_matches_the_exact_referee_over_the_cli_domain(k, dbs, delta, r_th):
+    """Every scheme and mode decides each trial as exact arithmetic does, wherever `_exact_outcomes` does not excuse it."""
+    snr, lambda_e, sigma_d, sigma_e = dbs
+    p = SystemParams.from_db(k=k, delta=delta, snr_db=snr, lambda_e_db=lambda_e,
+                             sigma_d_db=sigma_d, sigma_e_db=sigma_e, r_th=r_th)
+    points = [(p, scheme, mode) for scheme in Scheme for mode in KnowledgeMode]
+    u = uniform_block(seed=1, k=k, start=0, count=64)
+    e_d, e_e = simulator._unit_gains(u, k)
+    up = simulator._gates(u, k, delta)
+    links = _exact_links(p, e_d, e_e)
+    for (_, scheme, mode), (nzr, sop) in zip(points, _engine_outcomes(points, u)):
+        for t, (want_nzr, want_sop, excused) in enumerate(_exact_outcomes(p, scheme, mode, e_d, e_e, up, links)):
+            if not excused:
+                assert (nzr[t], sop[t]) == (want_nzr, want_sop), (p, scheme, mode, t)
+
+
 def test_overflowed_ratios_pick_on_unit_gains(tmp_path):
     """At snr 3000 dB and lambda_e -3000 dB every scaled rts ratio overflows to +inf.
 
@@ -884,6 +913,15 @@ def test_scalar_select_mirrors_vectorized_path():
     u = uniform_block(seed=13, k=3, start=0, count=300)
     assert realization_from_uniforms(p, u[299]) == sample_realization(p, seed=13, trial=299)
     _assert_engine_matches_select(p, u, seed=13)
+
+
+def test_select_rate_is_positive_where_gains_over_noise_lie_below_one_ulp():
+    """At (-3000, -3000) dB 1 + g / sigma rounds to 1 on both sides, yet `select` reports the engine's rates."""
+    p = params(k=3, delta=0.9, snr_db=-3000.0, lambda_e_db=-3000.0)
+    n = 2_000
+    hits = sum(select(p, Scheme.RTS, AVAIL, sample_realization(p, seed=1, trial=t)).rate > 0.0 for t in range(n))
+    est = simulate_point(p, Scheme.RTS, AVAIL, n, seed=1)
+    assert hits / n == est[Metric.NZR].value == 0.991
 
 
 # --- estimates ---------------------------------------------------------------
