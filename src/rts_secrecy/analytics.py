@@ -60,8 +60,6 @@ class MetricValue:
     `note` says why.  The raw value is preserved either way.
     """
 
-    metric: Metric
-    mode: KnowledgeMode
     value: float
     source: str
     ok: bool = True
@@ -70,8 +68,6 @@ class MetricValue:
 
 def _flag_range(mv: MetricValue) -> MetricValue:
     """Mark a value outside [0, 1], beyond a fixed rounding slack, or non-finite not ok."""
-    if not mv.ok:
-        return mv
     if not math.isfinite(mv.value):
         return replace(mv, ok=False, note="non-finite value")
     if mv.value < -_RANGE_SLACK or mv.value > 1.0 + _RANGE_SLACK:
@@ -99,7 +95,7 @@ def asymptote(metric: Metric, mode: KnowledgeMode, k: int, delta: float) -> Metr
         value = 1.0 - dead_all if mode is KnowledgeMode.AVAILABLE else delta
     else:
         value = dead_all if mode is KnowledgeMode.AVAILABLE else 1.0 - delta
-    return MetricValue(metric, mode, value, source="asymptote")
+    return MetricValue(value, source="asymptote")
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +137,7 @@ def nzr_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
     gate_p, weight = (p.delta, 1.0) if mode is KnowledgeMode.AVAILABLE else (1.0, p.delta)
     live_t = gate_p * t
     value = weight * (1.0 if live_t >= 1.0 else -math.expm1(p.k * math.log1p(-live_t)))
-    return MetricValue(Metric.NZR, mode, value, "exact")
+    return MetricValue(value, "exact")
 
 
 def _g_terms(m: int, x: float) -> list[float]:
@@ -218,7 +214,7 @@ def sop_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
         )
         t = -math.expm1(-x) - x * emx + emx * (1.0 + x) * power + g * k * (x * above) * total
     value = t if available else 1.0 - delta + delta * t
-    return _flag_range(MetricValue(Metric.SOP, mode, value, "exact"))
+    return _flag_range(MetricValue(value, "exact"))
 
 
 def oracle(p: SystemParams, metric: Metric, mode: KnowledgeMode) -> MetricValue:
@@ -287,8 +283,8 @@ def nzr_closed_form(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
                 )
             value = delta * (1.0 - k * tail)
     except (OverflowError, ZeroDivisionError) as exc:
-        return MetricValue(Metric.NZR, mode, math.nan, "series", False, f"series failed: {exc}")
-    return _flag_range(MetricValue(Metric.NZR, mode, value, "series"))
+        return MetricValue(math.nan, "series", False, f"series failed: {exc}")
+    return _flag_range(MetricValue(value, "series"))
 
 
 def _sop_series_bracket(n: int, p: SystemParams, mode: KnowledgeMode, upper: Callable[[int], float]) -> float:
@@ -348,10 +344,8 @@ def sop_closed_form(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
     other cell carries a documented deviation.
     """
     if p.rho == 1.0:
-        return MetricValue(
-            Metric.SOP, mode, math.nan, "series", False,
-            "series needs a positive threshold (zero-threshold collapse is 1 - NZR)",
-        )
+        note = "series needs a positive threshold (zero-threshold collapse is 1 - NZR)"
+        return MetricValue(math.nan, "series", False, note)
     u = p.sigma_e * p.lambda_e
     v = p.sigma_d * p.lambda_d
     k, delta, rho = p.k, p.delta, p.rho
@@ -363,16 +357,10 @@ def sop_closed_form(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
         if mode is KnowledgeMode.AVAILABLE:
             value = (1.0 - delta) ** k
             value += delta * (1.0 - delta) ** (k - 1) * k * single_link_outage
+            inner = 0.0  # the same for every q
+            for n in range(1, k):
+                inner += binomial(k - 1, n) * (-1.0) ** (n + 1) * delta ** (n + 1) * n * bracket[n]
             for q in range(2, k + 1):
-                inner = 0.0
-                for n in range(1, k):
-                    inner += (
-                        binomial(k - 1, n)
-                        * (-1.0) ** (n + 1)
-                        * delta ** (n + 1)
-                        * n
-                        * bracket[n]
-                    )
                 value += binomial(k, q) * q * inner
         else:
             tail = 0.0
@@ -386,8 +374,8 @@ def sop_closed_form(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
             value = (1.0 - delta) + delta * k * tail
     except (OverflowError, ZeroDivisionError, ValueError) as exc:
         # ValueError: an infinite gamma argument b, where sigma_d lambda_d overflows
-        return MetricValue(Metric.SOP, mode, math.nan, "series", False, f"series failed: {exc}")
-    return _flag_range(MetricValue(Metric.SOP, mode, value, "series"))
+        return MetricValue(math.nan, "series", False, f"series failed: {exc}")
+    return _flag_range(MetricValue(value, "series"))
 
 
 def closed_form(p: SystemParams, metric: Metric, mode: KnowledgeMode) -> MetricValue:

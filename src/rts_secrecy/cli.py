@@ -311,8 +311,6 @@ def cmd_sweep(settings: dict[str, str], cfg: dict, check: bool, stream: TextIO) 
 def cmd_compare(settings: dict[str, str], cfg: dict, check: bool, stream: TextIO) -> int:
     if len(cfg["k"]) != 1 or len(cfg["delta"]) != 1:
         raise UsageError("compare takes a single k and delta value")
-    if check and Scheme.RTS not in cfg["scheme"]:
-        raise UsageError("compare --check needs the rts scheme in --scheme")
     estimates = _simulate(cfg, cfg["scheme"], cfg["mode"])
     rows, failures = _grid_rows(cfg, check, estimates)
     _write_csv(stream, "compare", settings, rows)
@@ -356,6 +354,8 @@ def _compare_order_failures(cfg: dict, stream: TextIO, estimates: dict) -> int:
 
 
 def cmd_validate(settings: dict[str, str], cfg: dict, check: bool, stream: TextIO) -> int:
+    if cfg["scheme"] != [Scheme.RTS]:  # the echoed settings must say what ran
+        raise UsageError(f"validate simulates the rts scheme only, got --scheme {settings['scheme']}")
     estimates = _simulate(cfg, [Scheme.RTS], cfg["mode"])
     rows = []
     for _, _, snr_db, p in _grid(cfg):
@@ -429,6 +429,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         handler, _, overrides = _COMMANDS[args.command]
         settings = resolve_settings(args, overrides)
         cfg = {name: parse(settings[name], name) for name, (_, _, parse) in _FLAGS.items()}
+        if args.check and Scheme.RTS not in cfg["scheme"]:  # every check reads the rts rows
+            raise UsageError(f"{args.command} --check needs the rts scheme in --scheme")
         if cfg["out"] == "-":
             return handler(settings, cfg, args.check, sys.stdout)
         with open(cfg["out"], "w", encoding="utf-8", newline="") as stream:

@@ -72,24 +72,22 @@ class SelectionOutcome:
     """
 
     selected: int | None
-    transmitted: bool
     rate: float
 
 
 @dataclass(frozen=True)
 class MetricEstimate:
-    metric: Metric
     value: float
-    std_err: float
     trials: int
     seed: int
 
-    def wilson_interval(self, z: float) -> tuple[float, float]:
-        """Wilson score interval at z standard errors (Wilson 1927).
+    @property
+    def std_err(self) -> float:
+        """Wald error sqrt(value (1 - value) / trials), 0 at proportions of 0 and 1."""
+        return math.sqrt(self.value * (1.0 - self.value) / self.trials)
 
-        `std_err` is the Wald error sqrt(value (1 - value) / trials), which
-        is 0 at proportions of 0 and 1; this interval is not.
-        """
+    def wilson_interval(self, z: float) -> tuple[float, float]:
+        """Wilson score interval at z standard errors (Wilson 1927), unlike `std_err` never 0 wide."""
         n, phat = self.trials, self.value
         w = z * z / n
         center = (phat + w / 2.0) / (1.0 + w)
@@ -131,14 +129,14 @@ def select(
     if mode is KnowledgeMode.AVAILABLE:
         candidates = [i for i in indices if real.active[i]]
         if not candidates:
-            return SelectionOutcome(None, False, 0.0)
+            return SelectionOutcome(None, 0.0)
     else:
         candidates = list(indices)
     best = max(candidates, key=lambda i: _score(scheme, p, real.gain_d[i], real.gain_e[i]))
     if not real.active[best]:
-        return SelectionOutcome(best, True, 0.0)
+        return SelectionOutcome(best, 0.0)
     rate = secrecy_rate(real.gain_d[best], real.gain_e[best], p.sigma_d, p.sigma_e)
-    return SelectionOutcome(best, True, rate)
+    return SelectionOutcome(best, rate)
 
 
 def _check_run(trials: int, block: int) -> None:
@@ -375,8 +373,8 @@ def _anchored_plan(
 
 def _block_outcomes(
     p: SystemParams, scheme: Scheme, mode: KnowledgeMode, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial indicators (non-zero rate, transmitted, outage) of one point over a block of uniform rows.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial indicators (non-zero rate, outage) of one point over a block of uniform rows.
 
     Picks as `select` does, fed the unit gains for the scale-free rules
     (`_choose`): same scores, and argmax ties resolving to the lowest
@@ -386,18 +384,14 @@ def _block_outcomes(
     k = p.k
     e_d, e_e = _unit_gains(u, k)
     active = _gates(u, k, p.delta)
-    if mode is KnowledgeMode.AVAILABLE:
-        transmitted, mask = active.any(axis=0), active
-    else:
-        transmitted, mask = np.ones(u.shape[0], dtype=bool), None
-    nzr, outage = _Selection(_choose(p, scheme, e_d, e_e, mask), e_d, e_e).hits(p, active)
-    return nzr, transmitted, outage
+    mask = active if mode is KnowledgeMode.AVAILABLE else None
+    return _Selection(_choose(p, scheme, e_d, e_e, mask), e_d, e_e).hits(p, active)
 
 
 def _all_outcomes(
     p: SystemParams, scheme: Scheme, mode: KnowledgeMode, trials: int, seed: int, block: int = DEFAULT_BLOCK
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial (non-zero rate, transmitted, outage) arrays for `trials` trials: the reference of `simulate_grid`."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial (non-zero rate, outage) arrays for `trials` trials: the reference of `simulate_grid`."""
     _check_run(trials, block)
     blocks = [
         _block_outcomes(p, scheme, mode, uniform_block(seed, p.k, start, min(block, trials - start)))
@@ -410,7 +404,7 @@ def outage_indicators(
     p: SystemParams, scheme: Scheme, mode: KnowledgeMode, trials: int, seed: int, block: int = DEFAULT_BLOCK
 ) -> np.ndarray:
     """Per-trial outage indicator array (dead or silent trials included)."""
-    return _all_outcomes(p, scheme, mode, trials, seed, block)[2]
+    return _all_outcomes(p, scheme, mode, trials, seed, block)[1]
 
 
 def _selection_key(p: SystemParams, scheme: Scheme, mode: KnowledgeMode) -> tuple:
@@ -436,12 +430,8 @@ def _selection_key(p: SystemParams, scheme: Scheme, mode: KnowledgeMode) -> tupl
 
 
 def _estimates(nzr_hits: int, sop_hits: int, trials: int, seed: int) -> dict[Metric, MetricEstimate]:
-    out = {}
-    for metric, hits in ((Metric.NZR, nzr_hits), (Metric.SOP, sop_hits)):
-        value = hits / trials
-        std_err = math.sqrt(value * (1.0 - value) / trials)
-        out[metric] = MetricEstimate(metric, value, std_err, trials, seed)
-    return out
+    hits = {Metric.NZR: nzr_hits, Metric.SOP: sop_hits}
+    return {metric: MetricEstimate(n / trials, trials, seed) for metric, n in hits.items()}
 
 
 def simulate_grid(

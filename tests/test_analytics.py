@@ -71,7 +71,7 @@ def test_oracle_values_in_range_and_converged():
 
 def test_oracle_range_check_allows_only_rounding():
     # a value 7e-13 above 1 is rounding; 7e-12 above 1 is out of range
-    near = MetricValue(Metric.SOP, UNAVAIL, 1.0 + 7e-13, "exact")
+    near = MetricValue(1.0 + 7e-13, "exact")
     assert analytics._flag_range(near).ok
     flagged = analytics._flag_range(replace(near, value=1.0 + 7e-12))
     assert not flagged.ok
@@ -209,7 +209,7 @@ def test_sop_certain_outage_at_low_snr_and_high_threshold(k, mode):
 
 def test_not_ok_sop_oracle_makes_its_validate_rows_undocumented(monkeypatch):
     def not_ok(p, mode):
-        return MetricValue(Metric.SOP, mode, math.nan, "exact", False, "forced")
+        return MetricValue(math.nan, "exact", False, "forced")
 
     monkeypatch.setattr(analytics, "sop_oracle", not_ok)
     rows = validate_point(SystemParams.from_db(k=3, delta=0.9, snr_db=20.0), 20.0)
@@ -596,10 +596,10 @@ def test_oracle_approaches_asymptote_at_high_snr(k, delta):
 def test_classify_verdicts():
     from rts_secrecy.analytics import MetricValue
 
-    good = MetricValue(Metric.NZR, AVAIL, 0.5, "series")
-    target = MetricValue(Metric.NZR, AVAIL, 0.5 + 5e-7, "exact")
-    far = MetricValue(Metric.NZR, AVAIL, 0.6, "exact")
-    bad = MetricValue(Metric.NZR, AVAIL, 7.0, "series", ok=False, note="out")
+    good = MetricValue(0.5, "series")
+    target = MetricValue(0.5 + 5e-7, "exact")
+    far = MetricValue(0.6, "exact")
+    bad = MetricValue(7.0, "series", ok=False, note="out")
     assert classify(good, target) == VERDICT_MATCH
     assert classify(good, far) == VERDICT_MISMATCH
     assert classify(bad, target) == VERDICT_OUT_OF_RANGE

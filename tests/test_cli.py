@@ -359,7 +359,7 @@ def test_validate_report_and_exit(tmp_path):
 
 def test_validate_check_fails_on_an_unconverged_oracle(tmp_path, monkeypatch):
     def not_ok(p, mode):
-        return analytics.MetricValue(Metric.SOP, mode, 0.5, "exact", False, "forced not ok")
+        return analytics.MetricValue(0.5, "exact", False, "forced not ok")
 
     monkeypatch.setattr(analytics, "sop_oracle", not_ok)
     out = tmp_path / "validate.csv"
@@ -436,13 +436,23 @@ def test_compare_check_passes_when_eavesdropper_noise_is_low(tmp_path):
     assert "# order check failed" not in out.read_text()
 
 
-def test_compare_check_needs_rts(capsys):
-    code, captured = run(
-        ["compare", "--scheme", "tts", "--snr-db", "10", "--trials", "100", "--check"],
-        capsys,
-    )
+@pytest.mark.parametrize("command", ["sweep", "compare", "point"])
+def test_check_needs_rts(capsys, command):
+    # --check compares rts with its oracle; without rts it would check nothing and pass
+    argv = [command, "--check", "--scheme", "tts", "--trials", "100", "--k", "3", "--delta", "0.9", "--snr-db", "10"]
+    code, captured = run(argv, capsys)
     assert code == 1
-    assert "rts" in captured.err
+    assert captured.err == f"error: {command} --check needs the rts scheme in --scheme\n"
+    assert captured.out == ""
+
+
+def test_validate_rejects_a_scheme_it_does_not_simulate(capsys):
+    # validate simulates rts only, so echoing another --scheme would misstate the run
+    argv = ["validate", "--scheme", "tts,min-es", "--trials", "100", "--k", "2", "--delta", "0.9", "--snr-db", "10"]
+    code, captured = run(argv, capsys)
+    assert code == 1
+    assert captured.err == "error: validate simulates the rts scheme only, got --scheme tts,min-es\n"
+    assert captured.out == ""
 
 
 def test_compare_rejects_multiple_k(capsys):

@@ -137,7 +137,7 @@ def test_grid_engine_counts_match_per_trial_arrays():
     trials = 3000
     points = mixed_grid(k=2)
     for (p, scheme, mode), est in zip(points, simulate_grid(points, trials, seed=5, block=700)):
-        nzr, _, _ = simulator._all_outcomes(p, scheme, mode, trials, seed=5)
+        nzr, _ = simulator._all_outcomes(p, scheme, mode, trials, seed=5)
         outage = outage_indicators(p, scheme, mode, trials, seed=5)
         assert est[Metric.NZR].value == np.count_nonzero(nzr) / trials
         assert est[Metric.SOP].value == np.count_nonzero(outage) / trials
@@ -239,8 +239,9 @@ def _assert_engine_matches_select(p, u, seed):
     up = simulator._gates(u, p.k, p.delta)
     for scheme in Scheme:
         for mode in KnowledgeMode:
-            nonzero, transmitted, outage = simulator._all_outcomes(p, scheme, mode, trials, seed=seed, block=trials)
+            nonzero, outage = simulator._all_outcomes(p, scheme, mode, trials, seed=seed, block=trials)
             picks, nzr, sop = _select_outcomes(p, scheme, mode, u)
+            transmitted = up.any(axis=0) if mode is AVAIL else np.ones(trials, dtype=bool)
             assert transmitted.tolist() == [i is not None for i in picks]
             chosen = simulator._choose(p, scheme, e_d, e_e, up if mode is AVAIL else None).tolist()
             assert picks == [c if sent else None for c, sent in zip(chosen, transmitted)]
@@ -357,7 +358,7 @@ def _select_outcomes(p, scheme, mode, u, scaled_picks=False):
         real = ChannelRealization(tuple(on_d[:, t].tolist()), tuple(on_e[:, t].tolist()), active)
         out = select(p, scheme, mode, real)
         picks.append(out.selected)
-        if not (out.transmitted and active[out.selected]):
+        if out.selected is None or not active[out.selected]:
             sop += 1
             continue
         with np.errstate(over="ignore", invalid="ignore"):
@@ -383,7 +384,7 @@ def _engine_outcomes(points, u):
     assert grid == [simulate_point(p, s, m, trials, seed=1, block=max(1, trials // 3)) for p, s, m in points]
     outcomes = []
     for (p, scheme, mode), est in zip(points, grid):
-        nzr, _, _ = simulator._all_outcomes(p, scheme, mode, trials, seed=1, block=trials)
+        nzr, _ = simulator._all_outcomes(p, scheme, mode, trials, seed=1, block=trials)
         outage = outage_indicators(p, scheme, mode, trials, seed=1, block=trials)
         hits = (round(est[Metric.NZR].value * trials), round(est[Metric.SOP].value * trials))
         assert hits == (np.count_nonzero(nzr), np.count_nonzero(outage)), (p, scheme, mode)
@@ -822,7 +823,6 @@ def test_select_rts_picks_best_ratio():
     r = real([2.0, 9.0, 4.0], [1.0, 3.001, 1.9], [True, True, True])
     out = select(p, Scheme.RTS, AVAIL, r)
     assert out.selected == 1
-    assert out.transmitted
 
 
 def test_select_schemes_disagree_on_purpose():
@@ -846,7 +846,7 @@ def test_select_available_skips_dead_gates():
     r = real([9.0, 1.0, 5.0], [1.0, 1.0, 1.0], [False, True, True])
     out = select(p, Scheme.RTS, AVAIL, r)
     assert out.selected == 2
-    assert out.transmitted and out.rate > 0.0
+    assert out.rate > 0.0
 
 
 def test_select_available_all_dead_is_silent():
@@ -854,7 +854,6 @@ def test_select_available_all_dead_is_silent():
     r = real([9.0, 1.0], [1.0, 1.0], [False, False])
     out = select(p, Scheme.RTS, AVAIL, r)
     assert out.selected is None
-    assert not out.transmitted
     assert out.rate == 0.0
 
 
@@ -863,7 +862,6 @@ def test_select_unavailable_dead_winner_scores_zero():
     r = real([9.0, 1.0], [1.0, 1.0], [False, True])
     out = select(p, Scheme.RTS, UNAVAIL, r)
     assert out.selected == 0
-    assert out.transmitted
     assert out.rate == 0.0
 
 
@@ -952,7 +950,7 @@ def test_std_err_is_binomial():
 def test_wilson_interval_is_wide_at_zero_and_one():
     z, n = 5.0, 100_000
     for value, lo, hi in ((0.0, 0.0, z * z / (n + z * z)), (1.0, n / (n + z * z), 1.0)):
-        est = MetricEstimate(Metric.SOP, value, 0.0, n, seed=1)
+        est = MetricEstimate(value, n, seed=1)
         assert est.wilson_interval(z) == pytest.approx((lo, hi), abs=1e-15)
     # away from 0 and 1 it is close to value +- z std_err
     est = simulate_point(params(), Scheme.RTS, AVAIL, 10_000, seed=5)[Metric.SOP]
@@ -986,8 +984,8 @@ def test_optimal_outage_never_exceeds_any_scheme_per_trial():
 def test_optimal_and_rts_share_the_nonzero_rate_event():
     # a positive best-rate pair exists iff the best ratio clears the bar
     p = params(k=4, delta=0.8)
-    nzr_opt, _, _ = simulator._all_outcomes(p, Scheme.OPTIMAL, AVAIL, 50_000, seed=29)
-    nzr_rts, _, _ = simulator._all_outcomes(p, Scheme.RTS, AVAIL, 50_000, seed=29)
+    nzr_opt, _ = simulator._all_outcomes(p, Scheme.OPTIMAL, AVAIL, 50_000, seed=29)
+    nzr_rts, _ = simulator._all_outcomes(p, Scheme.RTS, AVAIL, 50_000, seed=29)
     assert np.array_equal(nzr_opt, nzr_rts)
 
 
