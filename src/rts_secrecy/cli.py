@@ -15,16 +15,17 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import io
 import math
 import sys
 from dataclasses import replace
 from enum import EnumMeta
+from pathlib import Path
 from typing import Sequence, TextIO
 
 from . import analytics, params
 from .params import MAX_R_TH, KnowledgeMode, Metric, Scheme, SystemParams
-# simulate_point is not called here; it stays a cli attribute for profilers
-# that wrap it by name
+# simulate_point is not called here; it stays a cli attribute for profilers that wrap it by name
 from .simulator import MetricEstimate, simulate_grid, simulate_point  # noqa: F401
 
 # the imported heap lives until exit: no collection, not even at shutdown, walks it
@@ -431,10 +432,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = {name: parse(settings[name], name) for name, (_, _, parse) in _FLAGS.items()}
         if args.check and Scheme.RTS not in cfg["scheme"]:  # every check reads the rts rows
             raise UsageError(f"{args.command} --check needs the rts scheme in --scheme")
+        if cfg["out"] != "-":  # an unwritable path fails before the run; appending keeps an old file's bytes
+            open(cfg["out"], "a", encoding="utf-8").close()
+        buffer = io.StringIO()  # the output is written only once the command has returned 0 or 2
+        code = handler(settings, cfg, args.check, buffer)
         if cfg["out"] == "-":
-            return handler(settings, cfg, args.check, sys.stdout)
-        with open(cfg["out"], "w", encoding="utf-8", newline="") as stream:
-            return handler(settings, cfg, args.check, stream)
+            sys.stdout.write(buffer.getvalue())
+        else:
+            Path(cfg["out"]).write_text(buffer.getvalue(), encoding="utf-8", newline="")
+        return code
     except (UsageError, OSError) as exc:  # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1

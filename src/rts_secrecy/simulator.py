@@ -13,6 +13,7 @@ multiple of four because the counter advances in four-word steps.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +32,10 @@ _RATIO_MARGIN = 1.0 + 2.0**-30  # certifies an optimal pick along the lambda_d a
 # bisect a run of the optimal rule's SNR axis while its inner points would re-select
 # more than block / _ANCHOR_COST trials in all (2 to 16 time alike on the compare grid)
 _ANCHOR_COST = 2
+_BAND = 1.0 + 2.0**-30  # M of `_thresholds`: `hits` decides the trials whose threshold lies within c M^+-1
+_SLACK = 2.0**-50  # D of `_thresholds`: the optimal rule's X' may round to 1 within D (1 + b) of a = b
+_COUNT_RHO = 1.0 + 2.0**-20  # thresholds need rho = 1 or this much: below it theta = rho (1 + b) - 1 cancels
+_COUNT_POINTS = 4  # sub-axes of fewer points cost less per point than sorted thresholds
 
 
 def trial_stride(k: int) -> int:
@@ -371,6 +376,61 @@ def _anchored_plan(
     return plan
 
 
+def _thresholds(e_d: np.ndarray, b: np.ndarray, live: np.ndarray, rho: float, slack: float) -> tuple[tuple, tuple]:
+    """Per-trial bounds on c = lambda_d sigma_d of a non-zero rate and of no outage: (P, sorted P, Q, sorted Q) each.
+
+    Columns hold (k, n) unit gains e_d, their b (`_snr`) and gates `live`:
+    the shared pick of a scale-free rule (k = 1, `slack` 0), or every link of
+    the gated optimal rule (_SLACK).  The event holds where P > fl(c M),
+    fails where Q < fl(c / M), M = _BAND; `hits` decides the rest, NaN
+    (0 / 0) included.  Why, with u = 2^-53: |`_exponent`| <= 960 keeps a, b
+    and c normal, a = e_d / c* (1 + alpha), |alpha| < 2.01u, for the exact
+    c* = lambda_d sigma_d, T, R and P lie within 3.1u of their exact values
+    or far past every c, and c M^+-1 within 2u; a dead link has e_d = 0.
+    e_d / b > c M means a > b, e_d / b < c / M a < b.  X' = fl(fl(1 + a) /
+    fl(1 + b)) is (1 + a*) / (1 + b) within 5.02u: with theta = (rho - 1) +
+    rho b it is < rho where a* < theta (1 - kappa), >= rho where a* > theta
+    (1 + kappa), kappa = 5.03u rho (1 + b) / theta <= 5.03u rho / (rho - 1)
+    < 0.63 2^-30 for rho >= _COUNT_RHO.  M > (1 + kappa)(1 + 5.1u), so
+    R = e_d / theta bounds no outage; at rho = 1 that is a >= b, bounded as
+    a > b but for e_d = b = 0 (NaN).  The gated optimal rule picks the first
+    maximum of X' over live links, which `hits` forms bit for bit: R, P and
+    Q of a trial are maxima over its links.  A link's fl(1 + a) > fl(1 + b)
+    where a > b + 4u (1 + b), < where a < b - 4u (1 + b), and X' > 1 (< 1)
+    at the pick means a > b (a < b).  So with D = _SLACK = 8u, P = e_d /
+    (b + D (1 + b)) and Q = e_d / y, y = fl(fl(b (1 - D)) - D) <= b - 4u
+    (1 + b), inf or NaN where y <= 0, bound a non-zero rate.
+    """
+
+    def bound(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        top = x.max(axis=0)  # a NaN wins
+        return top, np.sort(top)  # NaN sorts last
+
+    e_d = e_d * live
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # x / 0, 0 / 0, overflow to inf
+        x = b * (1.0 + slack)  # b + D (1 + b); the (k, n) arrays are formed in place
+        x += slack
+        p = q = bound(np.divide(e_d, x, out=x))
+        if slack:
+            np.multiply(b, 1.0 - slack, out=x)
+            x -= slack
+            q = bound(np.divide(e_d, np.maximum(x, 0.0, out=x), out=x))
+        if rho == 1.0:
+            return p + q, p + q
+        np.multiply(b, rho, out=x)
+        x += rho - 1.0
+        r = bound(np.divide(e_d, x, out=x))
+    return p + q, r + r
+
+
+def _exact(p: SystemParams, scheme: Scheme, e_d: np.ndarray, e_e: np.ndarray, mask: np.ndarray | None,
+           active: np.ndarray, trials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(non-zero rate, outage) of `trials` at `p` on their own picks (`_choose`, `_Selection.hits`)."""
+    gated = None if mask is None else mask[:, trials]
+    own = _choose(p, scheme, e_d[:, trials], e_e[:, trials], gated)
+    return _Selection(own, e_d, e_e, trials=trials).hits(p, active)
+
+
 def _block_outcomes(
     p: SystemParams, scheme: Scheme, mode: KnowledgeMode, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -429,6 +489,18 @@ def _selection_key(p: SystemParams, scheme: Scheme, mode: KnowledgeMode) -> tupl
     return route, scheme, mode, reads, gate
 
 
+def _sub_axis(key: tuple, p: SystemParams) -> tuple | None:
+    """What the points counted by one `_thresholds` share in a group; None where its proof fails.
+
+    It fails for the optimal rule without gate knowledge (whether its pick is dead depends on which
+    link wins) or outside `_SAFE_LAMBDA`, wherever |`_exponent`| > 960, and for 1 < rho < _COUNT_RHO.
+    """
+    fits = key[0] == "unit" or (key[0] == "anchored" and key[2] is KnowledgeMode.AVAILABLE)
+    scale = max(abs(_exponent(p.lambda_d, p.sigma_d)), abs(_exponent(p.lambda_e, p.sigma_e)))
+    fits = fits and scale <= 960 and (p.rho == 1.0 or p.rho >= _COUNT_RHO)
+    return (p.lambda_e, p.sigma_e, p.delta, p.rho) if fits else None
+
+
 def _estimates(nzr_hits: int, sop_hits: int, trials: int, seed: int) -> dict[Metric, MetricEstimate]:
     hits = {Metric.NZR: nzr_hits, Metric.SOP: sop_hits}
     return {metric: MetricEstimate(n / trials, trials, seed) for metric, n in hits.items()}
@@ -444,46 +516,52 @@ def simulate_grid(
 
     All points must share k, so they read one stream (seed, k), which is
     walked once.  Before the walk the points are grouped once by
-    `_selection_key`, and within a group by position on its lambda_d
-    axis: one position unless the route is "anchored", whose positions
-    run upward.  Per block the uniforms are generated once, mapped to
-    unit-mean exponential gains once per side and to a gate mask once per
-    distinct delta, all in (k, block) layout.  Per group the block gets one
+    `_selection_key`, within a group into sub-axes of _COUNT_POINTS or more
+    (`_sub_axis`), and the rest by position on the group's lambda_d axis:
+    one position unless the route is "anchored", whose positions run
+    upward.  Per block the uniforms are generated once, mapped to unit-mean
+    exponential gains once per side and to a gate mask once per distinct
+    delta, all in (k, block) layout.  A sub-axis sorts its per-trial
+    thresholds once (`_thresholds`), and each of its points counts them and
+    decides the trials near its own c (`_exact`).  The other points get a
     plan, an (anchor, picks, trials to re-select) per position
-    (`_anchored_plan`, or one `_choose` for the group), and each anchor's
-    picks make one `_Selection`.  Each point adds only its destination
-    gain over noise, its re-selection of the trials an anchor does not
-    certify, and its hit counts (`_Selection.hits`).  Memory is O(block)
-    whatever `trials` and the number of points, and every estimate equals
-    `simulate_point` on that point alone, at any block size.
+    (`_anchored_plan`, or one `_choose` for the group): each anchor's picks
+    make one `_Selection`, and a point re-selects the trials its anchor
+    does not certify.  Memory is O(block) whatever `trials` and the number
+    of points, and every estimate equals `simulate_point` on that point
+    alone, at any block size.
     """
     _check_run(trials, block)
     ks = {p.k for p, _, _ in points}
     if len(ks) != 1:
         raise ValueError(f"points must share one k, got {sorted(ks)}")
     (k,) = ks
-    groups: dict[tuple, dict] = {}  # key -> lambda_d position (None: one pick) -> its points
+    keys = [_selection_key(*point) for point in points]
+    subs = [_sub_axis(key, p) for key, (p, _, _) in zip(keys, points)]
+    sizes = Counter(zip(keys, subs))
+    groups: dict[tuple, tuple] = {}  # key -> (lead, lambda_d position -> its points, sub-axis -> its points)
     for i in sorted(range(len(points)), key=lambda i: points[i][0].lambda_d):
-        key = _selection_key(*points[i])
-        position = points[i][0].lambda_d if key[0] == "anchored" else None
-        groups.setdefault(key, {}).setdefault(position, []).append(i)
+        key, sub = keys[i], subs[i]
+        # a unit group always has its one position (None), whose pick its counted sub-axes read
+        _, axis, counted = groups.setdefault(key, (points[i][0], {None: []} if key[0] == "unit" else {}, {}))
+        if sub is not None and sizes[key, sub] >= _COUNT_POINTS:
+            counted.setdefault(sub, []).append(i)
+        else:
+            axis.setdefault(points[i][0].lambda_d if key[0] == "anchored" else None, []).append(i)
     deltas = {p.delta for p, _, _ in points}
-    nzr_hits = [0] * len(points)
-    sop_hits = [0] * len(points)
+    hits = np.zeros((2, len(points)), dtype=np.int64)  # per point: trials with a non-zero rate, not in outage
     for start in range(0, trials, block):
         u = uniform_block(seed, k, start, min(block, trials - start))
         e_d, e_e = _unit_gains(u, k)
         gates = {delta: _gates(u, k, delta) for delta in deltas}
         del u  # the largest array of a block, not needed past this point
-        for (route, *_), axis in groups.items():
-            lead, scheme, mode = points[next(iter(axis.values()))[0]]  # what the key holds
+        for (route, scheme, mode, *_), (lead, axis, counted) in groups.items():  # lead: what the key holds
             mask = gates[lead.delta] if mode is KnowledgeMode.AVAILABLE else None
-            if route == "anchored":
+            plan = [(0, _choose(lead, scheme, e_d, e_e, mask), ())] if route != "anchored" else []
+            if route == "anchored" and axis:
                 inv = _inverse_snr(e_e, lead, mask)  # (k, block): freed once `_anchored_plan` returns
                 plan = _anchored_plan(e_d, list(axis), lead.sigma_d, inv)
                 del inv
-            else:
-                plan = [(0, _choose(lead, scheme, e_d, e_e, mask), ())]
             for t, ((anchor, sel, redo), members) in enumerate(zip(plan, axis.values())):
                 if anchor == t:  # an anchor's position precedes those that share its picks
                     shared = _Selection(sel, e_d, e_e)
@@ -492,12 +570,28 @@ def simulate_grid(
                     active = gates[p.delta]
                     nzr, outage = shared.hits(p, active)
                     if len(redo):  # trials the shared pick does not certify: this point's own pick
-                        gated = None if mask is None else mask[:, redo]
-                        own = _choose(p, scheme, e_d[:, redo], e_e[:, redo], gated)
-                        nzr[redo], outage[redo] = _Selection(own, e_d, e_e, trials=redo).hits(p, active)
-                    nzr_hits[i] += int(np.count_nonzero(nzr))
-                    sop_hits[i] += int(np.count_nonzero(outage))
-    return [_estimates(nzr, sop, trials, seed) for nzr, sop in zip(nzr_hits, sop_hits)]
+                        nzr[redo], outage[redo] = _exact(p, scheme, e_d, e_e, mask, active, redo)
+                    hits[:, i] += np.count_nonzero(nzr), outage.size - np.count_nonzero(outage)
+            for members in counted.values():
+                q = points[members[0]][0]  # what the sub-axis holds
+                if route == "unit":  # the shared pick of the scale-free rule
+                    b = _snr(shared.e_e, q.lambda_e, q.sigma_e)[None]
+                    bounds = _thresholds(shared.e_d[None], b, gates[q.delta].take(shared.pick)[None], q.rho, 0.0)
+                else:  # the gated optimal rule, on every link
+                    bounds = _thresholds(e_d, _snr(e_e, q.lambda_e, q.sigma_e), mask, q.rho, _SLACK)
+                c = np.array([points[i][0].lambda_d * points[i][0].sigma_d for i in members])
+                lo, hi = c / _BAND, c * _BAND
+                for event, (top, top_sorted, low, low_sorted) in enumerate(bounds):  # a non-zero rate, no outage
+                    sure = top_sorted.searchsorted(np.inf, "right") - top_sorted.searchsorted(hi, "right")
+                    for j in np.flatnonzero(sure + low_sorted.searchsorted(lo) < top.size):  # left to `hits`
+                        p = points[members[j]][0]
+                        band = np.flatnonzero(~(top > hi[j]) & ~(low < lo[j]))  # NaN included
+                        nzr, outage = _exact(p, scheme, e_d, e_e, mask, gates[p.delta], band)
+                        sure[j] += np.count_nonzero(~outage if event else nzr)
+                    hits[event, members] += sure
+        # drop this block's arrays before the next one is built, not after
+        e_d = e_e = gates = mask = active = plan = shared = bounds = None
+    return [_estimates(int(nzr), trials - int(kept), trials, seed) for nzr, kept in hits.T]
 
 
 def simulate_point(

@@ -178,11 +178,33 @@ def test_scalar_config_key_rejects_a_list(tmp_path, capsys):
     assert_one_error_line(captured, "rth takes a single value")
 
 
-def test_unwritable_out_path_is_one_error_line(tmp_path, capsys):
+def test_unwritable_out_path_is_one_error_line(tmp_path, capsys, monkeypatch):
     out = tmp_path / "missing" / "x.csv"
+    monkeypatch.setattr(cli, "simulate_grid", None)  # the path fails before anything is simulated
     code, captured = run(["point", "--trials", "10", "--out", str(out)], capsys)
     assert code == 1
     assert_one_error_line(captured, str(out))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--k", "2,3", "--trials", "10"],  # compare takes one k: raised inside the command
+        ["validate", "--scheme", "tts", "--trials", "10"],  # validate simulates rts only
+    ],
+)
+def test_usage_error_in_a_command_keeps_an_existing_out_file(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"keep\n")
+    code, captured = run([*argv, "--out", str(out)], capsys)
+    assert code == 1
+    assert_one_error_line(captured, argv[0])
+    assert out.read_bytes() == b"keep\n"
+
+
+def test_out_may_be_a_device():
+    # the output is buffered, then written through one plain open, so a device or pipe still takes it
+    assert main(["point", "--trials", "10", "--out", os.devnull]) == 0
 
 
 def test_snr_range_is_capped_on_its_count(capsys):

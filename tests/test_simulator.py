@@ -338,7 +338,13 @@ def _near_tie_grid(snrs=(-30.0, 0.0, 5.0, 10.0, 15.0, 20.0, 50.0, 80.0)):
 
 
 def _select_outcomes(p, scheme, mode, u, scaled_picks=False):
-    """(picks, NZR hits, SOP hits) of the scalar `select` on the engine's own gains.
+    """(picks, NZR hits, SOP hits) of the scalar `select` on the engine's own gains of the rows `u`."""
+    e_d, e_e = simulator._unit_gains(u, p.k)
+    return _select_on_gains(p, scheme, mode, e_d, e_e, simulator._gates(u, p.k, p.delta), scaled_picks)
+
+
+def _select_on_gains(p, scheme, mode, e_d, e_e, up, scaled_picks=False):
+    """(picks, NZR hits, SOP hits) of the scalar `select` on (k, trials) unit gains and gate states `up`.
 
     The realization is built from the numpy gains, so both sides see the
     same floats: the scale-free rules pick on the unit gains (on the
@@ -348,14 +354,12 @@ def _select_outcomes(p, scheme, mode, u, scaled_picks=False):
     rate where a > b, and an outage where a < b if rho == 1 and where
     X = (1 + a) / (1 + b) < rho otherwise, with NaN (inf / inf) neither.
     """
-    e_d, e_e = simulator._unit_gains(u, p.k)
     with np.errstate(over="ignore"):  # a gain past the float range is +inf, as in the engine
         g_d, g_e = e_d / p.lambda_d, e_e / p.lambda_e
     on_d, on_e = (g_d, g_e) if scaled_picks or scheme is Scheme.OPTIMAL else (e_d, e_e)
     picks, nzr, sop = [], 0, 0
-    for t, row in enumerate(u):
-        active = tuple(bool(x < p.delta) for x in row[2 * p.k :])
-        real = ChannelRealization(tuple(on_d[:, t].tolist()), tuple(on_e[:, t].tolist()), active)
+    for t, active in enumerate(up.T.tolist()):
+        real = ChannelRealization(tuple(on_d[:, t].tolist()), tuple(on_e[:, t].tolist()), tuple(active))
         out = select(p, scheme, mode, real)
         picks.append(out.selected)
         if out.selected is None or not active[out.selected]:
@@ -770,15 +774,100 @@ def test_anchored_pick_is_the_per_point_pick(k, gains, gaps, dead, lambda_ds, la
             assert np.array_equal(sel[kept], expected[kept])
 
 
-def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
-    """The compare defaults (k = 5, 13 SNRs, 4 schemes, available) make 7 full-width selections a block, not 40.
+# --- counts read from sorted per-trial thresholds ------------------------------
 
-    rts, tts and min-es one each, and 4 anchors for the optimal rule's 13
-    SNRs; its other points re-select only the trials the anchors leave.
+_POOL = [0.0, _U_STEP, 0.01, 0.3, 1.0, 2.5, 7.0, _E_MAX]  # unit gains, 0 included
+
+
+def _near_threshold_gains(rng, axis, trials):
+    """(k, trials) unit gains, most of whose trials hold a link whose threshold lies near a grid c.
+
+    The link's b is forged so that T = e_d / b, or U = e_d / theta with
+    theta = (rho - 1) + rho b, lands on c = lambda_d sigma_d of a random
+    point of `axis`, with e_e nudged by -4..4 ulps (a and b then agree to a
+    few ulps, so X' rounds to 1 and `hits` must decide) or by a relative
+    2^-20..2^-36, either side of the band _BAND.  The other links come from
+    _POOL, weakened in half of the trials so that the forged link is every
+    rule's pick.  A quarter of the trials hold gains of 0 and 2^-53 only:
+    e_d = 0, b = 0, exact ties (a = b = 0), and, where c and lambda_e
+    sigma_e are at least 1, links whose X' is 1 although a != b.
     """
-    calls = {"full": 0, "anchors": 0, "redo": 0}
+    q, k = axis[0], axis[0].k
+    e_d, e_e = rng.choice(_POOL, size=(2, k, trials))
+    for t in range(trials):
+        link, p = rng.integers(k), axis[rng.integers(len(axis))]
+        if rng.random() < 0.25:
+            e_d[:, t], e_e[:, t] = rng.choice(_POOL[:2], size=(2, k))
+            continue
+        if rng.random() < 0.5:
+            e_d[:, t], e_e[:, t] = rng.choice(_POOL[:3], size=k), _E_MAX
+        c, x = p.lambda_d * p.sigma_d, rng.choice(_POOL[1:])
+        b = x / c  # T = c
+        if q.rho > 1.0 and rng.random() < 0.5:  # U = c, b within 2^+-8 of rho - 1, where X' is near 1
+            b = (q.rho - 1.0) * 2.0 ** float(rng.integers(-8, 9))
+            x = min(max(((q.rho - 1.0) + q.rho * b) * c, _U_STEP), _E_MAX)
+        e_d[link, t] = x
+        y = b * q.lambda_e * q.sigma_e
+        if rng.random() < 0.5:
+            y += rng.integers(-4, 5) * np.spacing(y)
+        else:
+            y *= 1.0 + rng.choice([-1.0, 1.0]) * 2.0 ** -float(rng.integers(20, 37))
+        if 0.0 < y <= _E_MAX:
+            e_e[link, t] = y
+    return e_d, e_e
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    dbs=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+    snrs=st.lists(st.floats(-30.0, 80.0), min_size=simulator._COUNT_POINTS, max_size=7, unique=True),
+    r_th=st.sampled_from([0.0, 1e-9, 2e-6, 1.0, 3.0]),  # rho = 1, per-point fallback, just past _COUNT_RHO, 2, 8
+    dead=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=3, dbs=(8.0, 1.0, 10.0), snrs=[0.0, 10.0, 20.0, 30.0], r_th=0.0, dead=1.0, seed=0)  # all gates dead
+@example(k=3, dbs=(-40.0, 40.0, 40.0), snrs=[-30.0, 0.0, 20.0, 40.0], r_th=1.0, dead=0.0, seed=1)  # X' = 1, a != b
+@example(k=2, dbs=(8.0, 1.0, 10.0), snrs=[0.0, 10.0, 20.0, 30.0, 40.0], r_th=1e-9, dead=0.5, seed=2)  # per point
+def test_threshold_counts_equal_the_per_point_path(k, dbs, snrs, r_th, dead, seed):
+    """On forged rows near the thresholds, a sub-axis counted from sorted thresholds equals `hits` and `select`.
+
+    Every scheme in both modes: the scale-free rules count on their shared
+    pick, the optimal rule with gate knowledge on its best live link, and
+    the one-point runs take the per-point path.
+    """
+    lambda_e, sigma_d, sigma_e = dbs
+    axis = [SystemParams.from_db(k=k, delta=0.5, snr_db=snr, lambda_e_db=lambda_e, sigma_d_db=sigma_d,
+                                 sigma_e_db=sigma_e, r_th=r_th) for snr in snrs]
+    rng = np.random.default_rng(seed)
+    trials = 48
+    e_d, e_e = _near_threshold_gains(rng, axis, trials)
+    up = rng.random((k, trials)) >= dead
+    points = [(p, scheme, mode) for p in axis for scheme in Scheme for mode in KnowledgeMode]
+    with pytest.MonkeyPatch.context() as patch:  # the stream's rows are trial indices into the forged gains and gates
+        patch.setattr(simulator, "uniform_block", lambda seed, k, start, count: np.arange(start, start + count)[:, None])
+        patch.setattr(simulator, "_unit_gains", lambda u, k: (e_d[:, u[:, 0]], e_e[:, u[:, 0]]))
+        patch.setattr(simulator, "_gates", lambda u, k, delta: up[:, u[:, 0]])
+        grid = simulate_grid(points, trials, seed=1)
+        per_point = [simulate_point(p, scheme, mode, trials, seed=1, block=trials // 3) for p, scheme, mode in points]
+    for (p, scheme, mode), est, alone in zip(points, grid, per_point):
+        assert est == alone, (p, scheme, mode)
+        _, nzr, sop = _select_on_gains(p, scheme, mode, e_d, e_e, up)
+        assert (est[Metric.NZR].value, est[Metric.SOP].value) == (nzr / trials, sop / trials), (p, scheme, mode)
+
+
+def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
+    """The compare defaults (k = 5, 13 SNRs, 4 schemes, available) make 3 full-width selections a block, not 40.
+
+    rts, tts and min-es select once each, and every point of the four
+    schemes reads its counts from one sorted threshold set per scheme: the
+    optimal rule needs no anchor and no selection, and no trial's threshold
+    lies close enough to any point to need one.
+    """
+    calls = {"full": 0, "anchors": 0, "band": 0, "thresholds": 0}
     width = {}
-    stream, choose, ratio_top = simulator.uniform_block, simulator._choose, simulator._ratio_top
+    stream, choose = simulator.uniform_block, simulator._choose
+    ratio_top, thresholds = simulator._ratio_top, simulator._thresholds
 
     def counting_stream(seed, k, start, count):
         width["block"] = count
@@ -788,17 +877,21 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
         if e_d.shape[1] == width["block"]:
             calls["full"] += 1
         else:
-            calls["redo"] += e_d.shape[1]
+            calls["band"] += e_d.shape[1]
         return choose(p, scheme, e_d, *args)
 
     def counting_ratio_top(e_d, *args):
         calls["anchors"] += 1
-        calls["full"] += e_d.shape[1] == width["block"]
         return ratio_top(e_d, *args)
+
+    def counting_thresholds(*args):
+        calls["thresholds"] += 1
+        return thresholds(*args)
 
     monkeypatch.setattr(simulator, "uniform_block", counting_stream)
     monkeypatch.setattr(simulator, "_choose", counting_choose)
     monkeypatch.setattr(simulator, "_ratio_top", counting_ratio_top)
+    monkeypatch.setattr(simulator, "_thresholds", counting_thresholds)
     points = [
         (params(k=5, delta=0.9, snr_db=float(snr)), scheme, AVAIL)
         for snr in range(0, 61, 5)
@@ -807,8 +900,8 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
     trials = 200_000
     simulate_grid(points, trials, seed=1)
     blocks = -(-trials // simulator.DEFAULT_BLOCK)
-    # rts 1, tts 1, min-es 1 and optimal 4 anchors, against 13 + 13 + 1 + 13 per lambda
-    assert calls == {"full": 7 * blocks, "anchors": 4 * blocks, "redo": 62_444}
+    # rts 1, tts 1, min-es 1 and optimal 0, against 13 + 13 + 1 + 13 per lambda
+    assert calls == {"full": 3 * blocks, "anchors": 0, "band": 0, "thresholds": 4 * blocks}
 
 
 # --- scalar selection --------------------------------------------------------
