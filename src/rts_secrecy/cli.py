@@ -226,7 +226,7 @@ def _grid(cfg: dict):
 
 
 def _simulate(cfg: dict, schemes: Sequence[Scheme], modes: Sequence[KnowledgeMode]) -> dict:
-    """Estimates keyed by (params, scheme, mode); one stream pass per k."""
+    """Estimates of the run's metrics keyed by (params, scheme, mode); one stream pass per k."""
     by_k: dict[int, dict] = {}
     for k, _, _, p in _grid(cfg):
         points = by_k.setdefault(k, {})
@@ -235,7 +235,7 @@ def _simulate(cfg: dict, schemes: Sequence[Scheme], modes: Sequence[KnowledgeMod
                 points[(p, scheme, mode)] = None
     estimates = {}
     for points in by_k.values():
-        estimates.update(zip(points, simulate_grid(list(points), cfg["trials"], cfg["seed"])))
+        estimates.update(zip(points, simulate_grid(list(points), cfg["trials"], cfg["seed"], metrics=cfg["metric"])))
     return estimates
 
 

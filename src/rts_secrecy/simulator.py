@@ -13,6 +13,7 @@ multiple of four because the counter advances in four-word steps.
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,6 +37,7 @@ _BAND = 1.0 + 2.0**-30  # M of `_thresholds`: `hits` decides the trials whose th
 _SLACK = 2.0**-50  # D of `_thresholds`: the optimal rule's X' may round to 1 within D (1 + b) of a = b
 _COUNT_RHO = 1.0 + 2.0**-20  # thresholds need rho = 1 or this much: below it theta = rho (1 + b) - 1 cancels
 _COUNT_POINTS = 4  # sub-axes of fewer points cost less per point than sorted thresholds
+_AHEAD_BLOCK = 1 << 12  # narrower blocks build inline: a thread per block costs more than it hides
 
 
 def trial_stride(k: int) -> int:
@@ -376,12 +378,15 @@ def _anchored_plan(
     return plan
 
 
-def _thresholds(e_d: np.ndarray, b: np.ndarray, live: np.ndarray, rho: float, slack: float) -> tuple[tuple, tuple]:
-    """Per-trial bounds on c = lambda_d sigma_d of a non-zero rate and of no outage: (P, sorted P, Q, sorted Q) each.
+def _thresholds(e_d: np.ndarray, b: np.ndarray, live: np.ndarray, rho: float, slack: float,
+                metrics: Sequence[Metric]) -> dict[Metric, tuple]:
+    """Per-trial bounds on c = lambda_d sigma_d of `metrics`: (P, sorted P, Q, sorted Q) each.
 
-    Columns hold (k, n) unit gains e_d, their b (`_snr`) and gates `live`:
-    the shared pick of a scale-free rule (k = 1, `slack` 0), or every link of
-    the gated optimal rule (_SLACK).  The event holds where P > fl(c M),
+    NZR reads the bounds of a non-zero rate, SOP those of no outage, which
+    at rho = 1 are the same (so NZR's are formed then too).  Columns hold
+    (k, n) unit gains e_d, their b (`_snr`) and gates `live`: the shared
+    pick of a scale-free rule (k = 1, `slack` 0), or every link of the
+    gated optimal rule (_SLACK).  The event holds where P > fl(c M),
     fails where Q < fl(c / M), M = _BAND; `hits` decides the rest, NaN
     (0 / 0) included.  Why, with u = 2^-53: |`_exponent`| <= 960 keeps a, b
     and c normal, a = e_d / c* (1 + alpha), |alpha| < 2.01u, for the exact
@@ -402,25 +407,19 @@ def _thresholds(e_d: np.ndarray, b: np.ndarray, live: np.ndarray, rho: float, sl
     (1 + b), inf or NaN where y <= 0, bound a non-zero rate.
     """
 
-    def bound(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        top = x.max(axis=0)  # a NaN wins
+    def bound(scale: float, shift: float) -> tuple[np.ndarray, np.ndarray]:
+        np.add(np.multiply(b, scale, out=x), shift, out=x)  # b scale + shift, then e_d over it: formed in place
+        top = np.divide(e_d, np.maximum(x, 0.0, out=x) if shift < 0 else x, out=x).max(axis=0)  # a NaN wins
         return top, np.sort(top)  # NaN sorts last
 
-    e_d = e_d * live
+    e_d, x, bounds = e_d * live, np.empty_like(b), {}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # x / 0, 0 / 0, overflow to inf
-        x = b * (1.0 + slack)  # b + D (1 + b); the (k, n) arrays are formed in place
-        x += slack
-        p = q = bound(np.divide(e_d, x, out=x))
-        if slack:
-            np.multiply(b, 1.0 - slack, out=x)
-            x -= slack
-            q = bound(np.divide(e_d, np.maximum(x, 0.0, out=x), out=x))
-        if rho == 1.0:
-            return p + q, p + q
-        np.multiply(b, rho, out=x)
-        x += rho - 1.0
-        r = bound(np.divide(e_d, x, out=x))
-    return p + q, r + r
+        if Metric.NZR in metrics or rho == 1.0:
+            p = bound(1.0 + slack, slack)  # b + D (1 + b)
+            bounds[Metric.NZR] = p + (bound(1.0 - slack, -slack) if slack else p)
+        if Metric.SOP in metrics:
+            bounds[Metric.SOP] = bounds[Metric.NZR] if rho == 1.0 else 2 * bound(rho, rho - 1.0)
+    return bounds
 
 
 def _exact(p: SystemParams, scheme: Scheme, e_d: np.ndarray, e_e: np.ndarray, mask: np.ndarray | None,
@@ -501,9 +500,25 @@ def _sub_axis(key: tuple, p: SystemParams) -> tuple | None:
     return (p.lambda_e, p.sigma_e, p.delta, p.rho) if fits else None
 
 
-def _estimates(nzr_hits: int, sop_hits: int, trials: int, seed: int) -> dict[Metric, MetricEstimate]:
-    hits = {Metric.NZR: nzr_hits, Metric.SOP: sop_hits}
-    return {metric: MetricEstimate(n / trials, trials, seed) for metric, n in hits.items()}
+class _Ahead(threading.Thread):
+    """`build(start)` run in a worker thread while the caller counts the block before; `take` joins it."""
+
+    def __init__(self, build, start: int):
+        super().__init__(target=self._run, args=(build, start))
+        self.block = self.error = None
+        self.start()
+
+    def _run(self, build, start: int) -> None:
+        try:
+            self.block = build(start)
+        except BaseException as exc:  # raised again in the caller's thread by `take`
+            self.error = exc
+
+    def take(self) -> tuple:
+        self.join()
+        if self.error is not None:
+            raise self.error
+        return self.block
 
 
 def simulate_grid(
@@ -511,8 +526,9 @@ def simulate_grid(
     trials: int,
     seed: int,
     block: int = DEFAULT_BLOCK,
+    metrics: Sequence[Metric] = tuple(Metric),
 ) -> list[dict[Metric, MetricEstimate]]:
-    """Both metric estimates for every (params, scheme, mode) point, in order.
+    """The estimates of `metrics` for every (params, scheme, mode) point, in order.
 
     All points must share k, so they read one stream (seed, k), which is
     walked once.  Before the walk the points are grouped once by
@@ -521,8 +537,10 @@ def simulate_grid(
     one position unless the route is "anchored", whose positions run
     upward.  Per block the uniforms are generated once, mapped to unit-mean
     exponential gains once per side and to a gate mask once per distinct
-    delta, all in (k, block) layout.  A sub-axis sorts its per-trial
-    thresholds once (`_thresholds`), and each of its points counts them and
+    delta, all in (k, block) layout; one worker thread builds the next
+    block while this one is counted (inline for a single block or blocks
+    below _AHEAD_BLOCK).  A sub-axis sorts the per-trial thresholds of
+    `metrics` once (`_thresholds`), and each of its points counts them and
     decides the trials near its own c (`_exact`).  The other points get a
     plan, an (anchor, picks, trials to re-select) per position
     (`_anchored_plan`, or one `_choose` for the group): each anchor's picks
@@ -536,6 +554,7 @@ def simulate_grid(
     if len(ks) != 1:
         raise ValueError(f"points must share one k, got {sorted(ks)}")
     (k,) = ks
+    metrics = [metric for metric in Metric if metric in metrics]
     keys = [_selection_key(*point) for point in points]
     subs = [_sub_axis(key, p) for key, (p, _, _) in zip(keys, points)]
     sizes = Counter(zip(keys, subs))
@@ -549,49 +568,64 @@ def simulate_grid(
         else:
             axis.setdefault(points[i][0].lambda_d if key[0] == "anchored" else None, []).append(i)
     deltas = {p.delta for p, _, _ in points}
-    hits = np.zeros((2, len(points)), dtype=np.int64)  # per point: trials with a non-zero rate, not in outage
-    for start in range(0, trials, block):
+
+    def build(start: int) -> tuple:
         u = uniform_block(seed, k, start, min(block, trials - start))
         e_d, e_e = _unit_gains(u, k)
-        gates = {delta: _gates(u, k, delta) for delta in deltas}
-        del u  # the largest array of a block, not needed past this point
-        for (route, scheme, mode, *_), (lead, axis, counted) in groups.items():  # lead: what the key holds
-            mask = gates[lead.delta] if mode is KnowledgeMode.AVAILABLE else None
-            plan = [(0, _choose(lead, scheme, e_d, e_e, mask), ())] if route != "anchored" else []
-            if route == "anchored" and axis:
-                inv = _inverse_snr(e_e, lead, mask)  # (k, block): freed once `_anchored_plan` returns
-                plan = _anchored_plan(e_d, list(axis), lead.sigma_d, inv)
-                del inv
-            for t, ((anchor, sel, redo), members) in enumerate(zip(plan, axis.values())):
-                if anchor == t:  # an anchor's position precedes those that share its picks
-                    shared = _Selection(sel, e_d, e_e)
-                for i in members:
-                    p = points[i][0]
-                    active = gates[p.delta]
-                    nzr, outage = shared.hits(p, active)
-                    if len(redo):  # trials the shared pick does not certify: this point's own pick
-                        nzr[redo], outage[redo] = _exact(p, scheme, e_d, e_e, mask, active, redo)
-                    hits[:, i] += np.count_nonzero(nzr), outage.size - np.count_nonzero(outage)
-            for members in counted.values():
-                q = points[members[0]][0]  # what the sub-axis holds
-                if route == "unit":  # the shared pick of the scale-free rule
-                    b = _snr(shared.e_e, q.lambda_e, q.sigma_e)[None]
-                    bounds = _thresholds(shared.e_d[None], b, gates[q.delta].take(shared.pick)[None], q.rho, 0.0)
-                else:  # the gated optimal rule, on every link
-                    bounds = _thresholds(e_d, _snr(e_e, q.lambda_e, q.sigma_e), mask, q.rho, _SLACK)
-                c = np.array([points[i][0].lambda_d * points[i][0].sigma_d for i in members])
-                lo, hi = c / _BAND, c * _BAND
-                for event, (top, top_sorted, low, low_sorted) in enumerate(bounds):  # a non-zero rate, no outage
-                    sure = top_sorted.searchsorted(np.inf, "right") - top_sorted.searchsorted(hi, "right")
-                    for j in np.flatnonzero(sure + low_sorted.searchsorted(lo) < top.size):  # left to `hits`
-                        p = points[members[j]][0]
-                        band = np.flatnonzero(~(top > hi[j]) & ~(low < lo[j]))  # NaN included
-                        nzr, outage = _exact(p, scheme, e_d, e_e, mask, gates[p.delta], band)
-                        sure[j] += np.count_nonzero(~outage if event else nzr)
-                    hits[event, members] += sure
-        # drop this block's arrays before the next one is built, not after
-        e_d = e_e = gates = mask = active = plan = shared = bounds = None
-    return [_estimates(int(nzr), trials - int(kept), trials, seed) for nzr, kept in hits.T]
+        return e_d, e_e, {delta: _gates(u, k, delta) for delta in deltas}
+
+    hits = np.zeros((2, len(points)), dtype=np.int64)  # per point: trials with a non-zero rate, not in outage
+    ahead = None
+    try:
+        for start in range(0, trials, block):
+            e_d, e_e, gates = build(start) if ahead is None else ahead.take()
+            ahead = _Ahead(build, start + block) if block >= _AHEAD_BLOCK and start + block < trials else None
+            for (route, scheme, mode, *_), (lead, axis, counted) in groups.items():  # lead: what the key holds
+                mask = gates[lead.delta] if mode is KnowledgeMode.AVAILABLE else None
+                plan = [(0, _choose(lead, scheme, e_d, e_e, mask), ())] if route != "anchored" else []
+                if route == "anchored" and axis:
+                    inv = _inverse_snr(e_e, lead, mask)  # (k, block): freed once `_anchored_plan` returns
+                    plan = _anchored_plan(e_d, list(axis), lead.sigma_d, inv)
+                    del inv
+                for t, ((anchor, sel, redo), members) in enumerate(zip(plan, axis.values())):
+                    if anchor == t:  # an anchor's position precedes those that share its picks
+                        shared = _Selection(sel, e_d, e_e)
+                    for i in members:
+                        p = points[i][0]
+                        active = gates[p.delta]
+                        nzr, outage = shared.hits(p, active)
+                        if len(redo):  # trials the shared pick does not certify: this point's own pick
+                            nzr[redo], outage[redo] = _exact(p, scheme, e_d, e_e, mask, active, redo)
+                        hits[:, i] += np.count_nonzero(nzr), outage.size - np.count_nonzero(outage)
+                for members in counted.values():
+                    q = points[members[0]][0]  # what the sub-axis holds
+                    if route == "unit":  # the shared pick of the scale-free rule
+                        b = _snr(shared.e_e, q.lambda_e, q.sigma_e)[None]
+                        live = gates[q.delta].take(shared.pick)[None]
+                        bounds = _thresholds(shared.e_d[None], b, live, q.rho, 0.0, metrics)
+                    else:  # the gated optimal rule, on every link
+                        bounds = _thresholds(e_d, _snr(e_e, q.lambda_e, q.sigma_e), mask, q.rho, _SLACK, metrics)
+                    c = np.array([points[i][0].lambda_d * points[i][0].sigma_d for i in members])
+                    lo, hi = c / _BAND, c * _BAND
+                    for event, metric in enumerate(Metric):  # a non-zero rate, no outage
+                        if metric not in metrics:
+                            continue
+                        top, top_sorted, low, low_sorted = bounds[metric]
+                        sure = top_sorted.searchsorted(np.inf, "right") - top_sorted.searchsorted(hi, "right")
+                        for j in np.flatnonzero(sure + low_sorted.searchsorted(lo) < top.size):  # left to `hits`
+                            p = points[members[j]][0]
+                            band = np.flatnonzero(~(top > hi[j]) & ~(low < lo[j]))  # NaN included
+                            nzr, outage = _exact(p, scheme, e_d, e_e, mask, gates[p.delta], band)
+                            sure[j] += np.count_nonzero(~outage if event else nzr)
+                        hits[event, members] += sure
+            # drop this block's arrays before the next worker starts, not after
+            e_d = e_e = gates = mask = active = plan = shared = bounds = None
+    finally:
+        if ahead is not None:
+            ahead.join()
+    counts = {Metric.NZR: hits[0], Metric.SOP: trials - hits[1]}
+    return [{metric: MetricEstimate(int(counts[metric][i]) / trials, trials, seed) for metric in metrics}
+            for i in range(len(points))]
 
 
 def simulate_point(

@@ -3,7 +3,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -865,16 +868,19 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
     lies close enough to any point to need one.
     """
     calls = {"full": 0, "anchors": 0, "band": 0, "thresholds": 0}
-    width = {}
-    stream, choose = simulator.uniform_block, simulator._choose
+    built = []  # weak references to each block's e_d as the producer made it
+    unit_gains, choose = simulator._unit_gains, simulator._choose
     ratio_top, thresholds = simulator._ratio_top, simulator._thresholds
 
-    def counting_stream(seed, k, start, count):
-        width["block"] = count
-        return stream(seed, k, start, count)
+    def tracking_gains(u, k):
+        e_d, e_e = unit_gains(u, k)
+        built.append(weakref.ref(e_d))
+        return e_d, e_e
 
     def counting_choose(p, scheme, e_d, *args):
-        if e_d.shape[1] == width["block"]:
+        # the producer may have built the next block already, so the block being
+        # counted is the one whose e_d this is, not the last one built
+        if any(ref() is e_d for ref in built[-2:]):
             calls["full"] += 1
         else:
             calls["band"] += e_d.shape[1]
@@ -888,7 +894,7 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
         calls["thresholds"] += 1
         return thresholds(*args)
 
-    monkeypatch.setattr(simulator, "uniform_block", counting_stream)
+    monkeypatch.setattr(simulator, "_unit_gains", tracking_gains)
     monkeypatch.setattr(simulator, "_choose", counting_choose)
     monkeypatch.setattr(simulator, "_ratio_top", counting_ratio_top)
     monkeypatch.setattr(simulator, "_thresholds", counting_thresholds)
@@ -902,6 +908,116 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
     blocks = -(-trials // simulator.DEFAULT_BLOCK)
     # rts 1, tts 1, min-es 1 and optimal 0, against 13 + 13 + 1 + 13 per lambda
     assert calls == {"full": 3 * blocks, "anchors": 0, "band": 0, "thresholds": 4 * blocks}
+
+
+# --- block producer and requested metrics -----------------------------------
+
+
+class _Planted(Exception):
+    pass
+
+
+def _snr_axis():
+    """The compare SNR axis at k = 3: 13 SNRs, every scheme, gate knowledge."""
+    return [(params(snr_db=float(snr)), scheme, AVAIL) for snr in range(0, 61, 5) for scheme in Scheme]
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    """`_unit_gains` failing on the third block, which the worker builds, raises that error in the caller."""
+    unit_gains, threads = simulator._unit_gains, []
+
+    def failing(u, k):
+        threads.append(threading.current_thread())
+        if len(threads) == 3:
+            raise _Planted("block 3")
+        return unit_gains(u, k)
+
+    monkeypatch.setattr(simulator, "_unit_gains", failing)
+    before = threading.active_count()
+    with pytest.raises(_Planted, match="block 3"):
+        simulate_grid(_snr_axis(), 5 * simulator.DEFAULT_BLOCK, seed=1)
+    assert threads[0] is threading.main_thread() and threads[2] is not threading.main_thread()
+    assert threading.active_count() == before
+
+
+def test_count_error_leaves_no_thread_behind(monkeypatch):
+    """An error while block 1 is counted joins the worker, which is still building block 2."""
+    unit_gains = simulator._unit_gains
+
+    def slow(u, k):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.1)
+        return unit_gains(u, k)
+
+    def failing(*args):
+        raise _Planted("count")
+
+    monkeypatch.setattr(simulator, "_unit_gains", slow)
+    monkeypatch.setattr(simulator, "_thresholds", failing)
+    before = threading.active_count()
+    with pytest.raises(_Planted, match="count"):
+        simulate_grid(_snr_axis(), 3 * simulator.DEFAULT_BLOCK, seed=1)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "trials, block, threads",
+    [
+        (100, simulator.DEFAULT_BLOCK, 0),  # one block
+        (simulator.DEFAULT_BLOCK, simulator.DEFAULT_BLOCK, 0),  # one full block
+        (5000, 1000, 0),  # blocks below _AHEAD_BLOCK
+        (2 * simulator.DEFAULT_BLOCK, simulator.DEFAULT_BLOCK, 1),  # every block after the first
+        (3 * simulator.DEFAULT_BLOCK + 5, simulator.DEFAULT_BLOCK, 3),
+    ],
+)
+def test_worker_threads_per_grid(monkeypatch, trials, block, threads):
+    """A grid of one block, or of blocks below _AHEAD_BLOCK, starts no thread; a longer one one per later block."""
+    started, start = [], threading.Thread.start
+
+    def counting(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    simulate_grid(_snr_axis(), trials, seed=1, block=block)
+    assert len(started) == threads
+
+
+def test_grid_counts_only_the_metrics_asked_for(monkeypatch):
+    """Each metric alone equals its entries of a two-metric run, and each dict holds only what was asked for.
+
+    Unit rules and the gated optimal rule on counted sub-axes (13 points)
+    and point by point (3 points, and r_th 1e-9, whose rho is below
+    _COUNT_RHO), the anchored optimal rule without gate knowledge, and
+    r_th 0 (rho = 1, where no outage reads the non-zero-rate bounds).
+    Away from rho = 1, the thresholds of the metric not asked for are not formed.
+    """
+    thresholds, formed = simulator._thresholds, []
+
+    def recording(e_d, b, live, rho, slack, metrics):
+        bounds = thresholds(e_d, b, live, rho, slack, metrics)
+        formed.append((rho == 1.0, tuple(metrics), tuple(bounds)))
+        return bounds
+
+    monkeypatch.setattr(simulator, "_thresholds", recording)
+    points = [
+        (params(snr_db=float(snr), r_th=r_th, **kw), scheme, mode)
+        for r_th in (0.0, 1e-9, 1.0)
+        for kw, snrs in (({}, range(0, 61, 5)), ({"lambda_e_db": 3.0}, (5, 15, 25)))
+        for snr in snrs
+        for scheme in Scheme
+        for mode in KnowledgeMode
+    ]
+    trials = 20_000  # two blocks: the worker builds the second
+    both = simulate_grid(points, trials, seed=3)
+    assert all(list(est) == list(Metric) for est in both)
+    for metric in Metric:
+        assert simulate_grid(points, trials, seed=3, metrics=(metric,)) == [{metric: est[metric]} for est in both]
+    assert set(formed) == {  # (rho = 1, metrics asked for, bounds formed)
+        (False, tuple(Metric), tuple(Metric)), (True, tuple(Metric), tuple(Metric)),
+        (False, (Metric.NZR,), (Metric.NZR,)), (True, (Metric.NZR,), (Metric.NZR,)),
+        (False, (Metric.SOP,), (Metric.SOP,)), (True, (Metric.SOP,), (Metric.NZR, Metric.SOP)),
+    }
 
 
 # --- scalar selection --------------------------------------------------------
