@@ -26,13 +26,6 @@ from .params import KnowledgeMode, Metric, Scheme, SystemParams, secrecy_rate
 DEFAULT_BLOCK = 1 << 14
 _WORDS_PER_COUNTER_STEP = 4
 _PIECE_WORDS = 1 << 15  # values per piece when a block's gains are transposed
-# optimal picks are shared along lambda_d while its lambdas and noise powers lie
-# in this range; outside it each point selects on its own gains (see `_ratio_top`)
-_SAFE_LAMBDA = (1e-100, 1e100)
-_RATIO_MARGIN = 1.0 + 2.0**-30  # certifies an optimal pick along the lambda_d axis
-# bisect a run of the optimal rule's SNR axis while its inner points would re-select
-# more than block / _ANCHOR_COST trials in all (2 to 16 time alike on the compare grid)
-_ANCHOR_COST = 2
 _BAND = 1.0 + 2.0**-30  # M of `_thresholds`: `hits` decides the trials whose threshold lies within c M^+-1
 _SLACK = 2.0**-50  # D of `_thresholds`: the optimal rule's X' may round to 1 within D (1 + b) of a = b
 _COUNT_RHO = 1.0 + 2.0**-20  # thresholds need rho = 1 or this much: below it theta = rho (1 + b) - 1 cancels
@@ -131,7 +124,14 @@ def _score(scheme: Scheme, p: SystemParams, g_d: float, g_e: float) -> float:
 def select(
     p: SystemParams, scheme: Scheme, mode: KnowledgeMode, real: ChannelRealization
 ) -> SelectionOutcome:
-    """Scalar reference selection; ties resolve to the lowest index."""
+    """Scalar reference selection; ties resolve to the lowest index.
+
+    For rts, tts and min-es it is the engine's reference only when fed the
+    unit gains e = g lambda, on which `_choose` picks.  Fed scaled gains
+    (`sample_realization`), it may pick differently where the scaled scores
+    overflow or lie a few ulps apart.  The optimal rule scores scaled gains
+    in both.
+    """
     indices = range(p.k)
     if mode is KnowledgeMode.AVAILABLE:
         candidates = [i for i in indices if real.active[i]]
@@ -196,9 +196,7 @@ def _snr(e: np.ndarray, lam: float, sigma: float, shift: int = 0) -> np.ndarray:
         return np.ldexp(e / m_l / m_s, -(x_l + x_s) - shift)
 
 
-def _first_argmax(
-    score: np.ndarray, mask: np.ndarray | None = None, margin: float | None = None
-) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _first_argmax(score: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Per trial (column) of a (k, trials) score, the lowest row index (uint8) of its maximum.
 
     A gate `mask` makes dead links score -inf first.  Equal to
@@ -206,22 +204,14 @@ def _first_argmax(
     and all-dead columns (pick 0) included, for NaN-free scores.  Instead of
     one short argmax per trial it runs contiguous passes over the k rows: a
     max-reduce, an equality test, and a max-reduce of the equal rows weighted
-    k, k-1, ..., 1 that finds the first of them.  With a `margin` M > 1 it
-    returns (pick, unique, top): `top` is the column maximum, and `unique`
-    says exactly one row has score >= fl(top / M); for top >= 0 that is the
-    top row itself and no other (see `_ratio_top`).
+    k, k-1, ..., 1 that finds the first of them.
     """
     k = score.shape[0]
     if mask is not None:
         score = np.where(mask, score, -np.inf)
-    top = score.max(axis=0)
-    first = (score == top).view(np.uint8)
+    first = (score == score.max(axis=0)).view(np.uint8)
     first *= np.arange(k, 0, -1, dtype=np.uint8)[:, None]
-    pick = k - first.max(axis=0)
-    if margin is None:
-        return pick
-    np.greater_equal(score, top / margin, out=first.view(bool))  # the top row counts itself
-    return pick, first.sum(axis=0, dtype=np.uint8) == 1, top
+    return k - first.max(axis=0)
 
 
 def _choose(
@@ -301,81 +291,6 @@ class _Selection:
                 a, b = np.ldexp(a, min(n_d - n_e, 0)), np.ldexp(b, min(n_e - n_d, 0))
         below = a < b if ratio is None else ratio < p.rho
         return live & (a > b), ~live | below
-
-
-def _inverse_snr(e_e: np.ndarray, p: SystemParams, mask: np.ndarray | None) -> np.ndarray:
-    """1 / (1 + e_e / lambda_e / sigma_e) of a point, -inf on the dead links of a gate `mask`."""
-    inv = 1.0 / (1.0 + _snr(e_e, p.lambda_e, p.sigma_e))
-    if mask is not None:
-        np.copyto(inv, -np.inf, where=~mask)
-    return inv
-
-
-def _ratio_top(
-    e_d: np.ndarray, lambda_d: float, sigma_d: float, inv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The optimal rule's SNR ratio at one lambda_d: (top, certain) per trial.
-
-    `inv` is `_inverse_snr` of the point; `top` is the first live link of
-    the largest ratio, and `certain` says no other live link is within the
-    margin below it, or that every link is dead, where any pick is dead.
-
-    The exact ratio of a link is R = (1 + a e_d) / c, with
-    a = 1 / (lambda_d sigma_d) and c = 1 + e_e / (lambda_e sigma_e).  Here it
-    is computed as X = fl(fl(1 + fl(e_d fl(1 / fl(lambda_d sigma_d)))) fl(1 / c)),
-    and `_choose` scores X' = fl(N / D) with
-    N = fl(1 + fl(fl(e_d / lambda_d) / sigma_d)), D = fl(1 + fl(fl(e_e / lambda_e) / sigma_e))
-    (`_snr`).  With u = 2^-53 and the four lambdas and noise powers in
-    `_SAFE_LAMBDA` nothing overflows or underflows, so
-    X = R (1 + eta) with |eta| < 9.1u, and X' with |eta| < 7.1u.  Certain, with a live
-    link: every other live X lies below fl(X_top / _RATIO_MARGIN), so R_top > R (1 + m) with m = 2^-30 - 20u.
-
-    R is affine and non-decreasing in a.  So R_top - (1 + m) R > 0 at two
-    lambda_d holds at every lambda_d between them, where X'_top > X' (1 + 2^-31):
-    there `_choose` picks the top link.
-    """
-    ratio = e_d * (1.0 / (lambda_d * sigma_d))
-    ratio += 1.0
-    ratio *= inv
-    top, unique, best = _first_argmax(ratio, margin=_RATIO_MARGIN)
-    return top, unique | (best == -np.inf)
-
-
-def _anchored_plan(
-    e_d: np.ndarray, lambdas: list[float], sigma_d: float, inv: np.ndarray
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Per position of a lambda_d axis sorted upward: (anchor, its picks, trials to re-select).
-
-    Anchors are `_ratio_top` at one position: an anchor picks its top
-    links and re-selects the trials it does not certify.  The two ends are
-    anchors.  Between two anchors a < b the lower anchor's picks hold for
-    the trials certified at both with one top link; the rest are
-    re-selected at every inner position.  A run is bisected while that
-    share, times its inner positions and _ANCHOR_COST, exceeds one block.
-    """
-    size = len(lambdas)
-    tops = {t: _ratio_top(e_d, lambdas[t], sigma_d, inv) for t in {0, size - 1}}
-    runs = [(0, size - 1)] if size > 2 else []
-    redo = {}
-    while runs:
-        a, b = runs.pop()
-        (top_a, certain_a), (top_b, certain_b) = tops[a], tops[b]
-        miss = np.flatnonzero(~(certain_a & certain_b & (top_a == top_b)))
-        if (b - a - 1) * miss.size * _ANCHOR_COST > top_a.size:
-            mid = (a + b) // 2
-            tops[mid] = _ratio_top(e_d, lambdas[mid], sigma_d, inv)
-            runs += [run for run in ((a, mid), (mid, b)) if run[1] - run[0] > 1]
-        else:
-            redo[a] = miss
-    plan = []
-    for t in range(size):
-        if t in tops:
-            anchor = t
-            sel, certain = tops[t]
-            plan.append((t, sel, np.flatnonzero(~certain)))
-        else:
-            plan.append((anchor, sel, redo[anchor]))
-    return plan
 
 
 def _thresholds(e_d: np.ndarray, b: np.ndarray, live: np.ndarray, rho: float, slack: float,
@@ -467,34 +382,25 @@ def outage_indicators(
 
 
 def _selection_key(p: SystemParams, scheme: Scheme, mode: KnowledgeMode) -> tuple:
-    """(route, scheme, mode, reads, gate): points with equal keys share one selection.
+    """(scheme, mode, reads, gate): points with equal keys form one group.
 
-    `reads` holds, as exact float values, what the route reads of a point.
-    "unit": rts, tts and min-es pick on the unit gains (`_choose`), once
-    for every point.  "anchored": the optimal rule, with its lambdas and
-    noise powers in `_SAFE_LAMBDA`, shares picks along the lambda_d axis,
-    certified at anchor lambda_d (`_ratio_top`, `_anchored_plan`); `reads`
-    omits lambda_d.  "own": the optimal rule outside that range selects on
-    the point's own scaled gains and shares only bit-identical scores.
+    `reads` holds, as exact float values, what `_choose` reads of a point
+    besides lambda_d.  rts, tts and min-es pick on the unit gains, once for
+    every point, so they read nothing.  The optimal rule reads lambda_e,
+    sigma_d and sigma_e, and its group picks once per lambda_d.
     """
-    reads = (p.lambda_d, p.lambda_e, p.sigma_d, p.sigma_e)
-    if scheme is not Scheme.OPTIMAL:
-        route, reads = "unit", ()
-    elif all(_SAFE_LAMBDA[0] <= x <= _SAFE_LAMBDA[1] for x in reads):
-        route, reads = "anchored", reads[1:]
-    else:
-        route = "own"
+    reads = (p.lambda_e, p.sigma_d, p.sigma_e) if scheme is Scheme.OPTIMAL else ()
     gate = p.delta if mode is KnowledgeMode.AVAILABLE else None
-    return route, scheme, mode, reads, gate
+    return scheme, mode, reads, gate
 
 
 def _sub_axis(key: tuple, p: SystemParams) -> tuple | None:
     """What the points counted by one `_thresholds` share in a group; None where its proof fails.
 
     It fails for the optimal rule without gate knowledge (whether its pick is dead depends on which
-    link wins) or outside `_SAFE_LAMBDA`, wherever |`_exponent`| > 960, and for 1 < rho < _COUNT_RHO.
+    link wins), wherever |`_exponent`| > 960, and for 1 < rho < _COUNT_RHO.
     """
-    fits = key[0] == "unit" or (key[0] == "anchored" and key[2] is KnowledgeMode.AVAILABLE)
+    fits = key[0] is not Scheme.OPTIMAL or key[1] is KnowledgeMode.AVAILABLE
     scale = max(abs(_exponent(p.lambda_d, p.sigma_d)), abs(_exponent(p.lambda_e, p.sigma_e)))
     fits = fits and scale <= 960 and (p.rho == 1.0 or p.rho >= _COUNT_RHO)
     return (p.lambda_e, p.sigma_e, p.delta, p.rho) if fits else None
@@ -533,21 +439,18 @@ def simulate_grid(
     All points must share k, so they read one stream (seed, k), which is
     walked once.  Before the walk the points are grouped once by
     `_selection_key`, within a group into sub-axes of _COUNT_POINTS or more
-    (`_sub_axis`), and the rest by position on the group's lambda_d axis:
-    one position unless the route is "anchored", whose positions run
-    upward.  Per block the uniforms are generated once, mapped to unit-mean
-    exponential gains once per side and to a gate mask once per distinct
-    delta, all in (k, block) layout; one worker thread builds the next
-    block while this one is counted (inline for a single block or blocks
-    below _AHEAD_BLOCK).  A sub-axis sorts the per-trial thresholds of
-    `metrics` once (`_thresholds`), and each of its points counts them and
-    decides the trials near its own c (`_exact`).  The other points get a
-    plan, an (anchor, picks, trials to re-select) per position
-    (`_anchored_plan`, or one `_choose` for the group): each anchor's picks
-    make one `_Selection`, and a point re-selects the trials its anchor
-    does not certify.  Memory is O(block) whatever `trials` and the number
-    of points, and every estimate equals `simulate_point` on that point
-    alone, at any block size.
+    (`_sub_axis`), and the rest by position: one per lambda_d for the
+    optimal rule, one for the whole group otherwise.  Per block the
+    uniforms are generated once, mapped to unit-mean exponential gains once
+    per side and to a gate mask once per distinct delta, all in (k, block)
+    layout; one worker thread builds the next block while this one is
+    counted (inline for a single block or blocks below _AHEAD_BLOCK).  A
+    sub-axis sorts the per-trial thresholds of `metrics` once
+    (`_thresholds`), and each of its points counts them and decides the
+    trials near its own c (`_exact`).  Each position picks once (`_choose`)
+    into one `_Selection`, whose `hits` count its points.  Memory is
+    O(block) whatever `trials` and the number of points, and every estimate
+    equals `simulate_point` on that point alone, at any block size.
     """
     _check_run(trials, block)
     ks = {p.k for p, _, _ in points}
@@ -559,14 +462,14 @@ def simulate_grid(
     subs = [_sub_axis(key, p) for key, (p, _, _) in zip(keys, points)]
     sizes = Counter(zip(keys, subs))
     groups: dict[tuple, tuple] = {}  # key -> (lead, lambda_d position -> its points, sub-axis -> its points)
-    for i in sorted(range(len(points)), key=lambda i: points[i][0].lambda_d):
-        key, sub = keys[i], subs[i]
-        # a unit group always has its one position (None), whose pick its counted sub-axes read
-        _, axis, counted = groups.setdefault(key, (points[i][0], {None: []} if key[0] == "unit" else {}, {}))
+    for i, (key, sub) in enumerate(zip(keys, subs)):
+        optimal = key[0] is Scheme.OPTIMAL
+        # a scale-free group always has its one position (None), whose pick its counted sub-axes read
+        _, axis, counted = groups.setdefault(key, (points[i][0], {} if optimal else {None: []}, {}))
         if sub is not None and sizes[key, sub] >= _COUNT_POINTS:
             counted.setdefault(sub, []).append(i)
         else:
-            axis.setdefault(points[i][0].lambda_d if key[0] == "anchored" else None, []).append(i)
+            axis.setdefault(points[i][0].lambda_d if optimal else None, []).append(i)
     deltas = {p.delta for p, _, _ in points}
 
     def build(start: int) -> tuple:
@@ -580,26 +483,18 @@ def simulate_grid(
         for start in range(0, trials, block):
             e_d, e_e, gates = build(start) if ahead is None else ahead.take()
             ahead = _Ahead(build, start + block) if block >= _AHEAD_BLOCK and start + block < trials else None
-            for (route, scheme, mode, *_), (lead, axis, counted) in groups.items():  # lead: what the key holds
+            for (scheme, mode, *_), (lead, axis, counted) in groups.items():  # lead: what the key holds
                 mask = gates[lead.delta] if mode is KnowledgeMode.AVAILABLE else None
-                plan = [(0, _choose(lead, scheme, e_d, e_e, mask), ())] if route != "anchored" else []
-                if route == "anchored" and axis:
-                    inv = _inverse_snr(e_e, lead, mask)  # (k, block): freed once `_anchored_plan` returns
-                    plan = _anchored_plan(e_d, list(axis), lead.sigma_d, inv)
-                    del inv
-                for t, ((anchor, sel, redo), members) in enumerate(zip(plan, axis.values())):
-                    if anchor == t:  # an anchor's position precedes those that share its picks
-                        shared = _Selection(sel, e_d, e_e)
+                for members in axis.values():
+                    q = points[members[0]][0] if members else lead  # what the position holds
+                    shared = _Selection(_choose(q, scheme, e_d, e_e, mask), e_d, e_e)
                     for i in members:
                         p = points[i][0]
-                        active = gates[p.delta]
-                        nzr, outage = shared.hits(p, active)
-                        if len(redo):  # trials the shared pick does not certify: this point's own pick
-                            nzr[redo], outage[redo] = _exact(p, scheme, e_d, e_e, mask, active, redo)
+                        nzr, outage = shared.hits(p, gates[p.delta])
                         hits[:, i] += np.count_nonzero(nzr), outage.size - np.count_nonzero(outage)
                 for members in counted.values():
                     q = points[members[0]][0]  # what the sub-axis holds
-                    if route == "unit":  # the shared pick of the scale-free rule
+                    if scheme is not Scheme.OPTIMAL:  # the shared pick of the scale-free rule
                         b = _snr(shared.e_e, q.lambda_e, q.sigma_e)[None]
                         live = gates[q.delta].take(shared.pick)[None]
                         bounds = _thresholds(shared.e_d[None], b, live, q.rho, 0.0, metrics)
@@ -619,7 +514,7 @@ def simulate_grid(
                             sure[j] += np.count_nonzero(~outage if event else nzr)
                         hits[event, members] += sure
             # drop this block's arrays before the next worker starts, not after
-            e_d = e_e = gates = mask = active = plan = shared = bounds = None
+            e_d = e_e = gates = mask = shared = bounds = None
     finally:
         if ahead is not None:
             ahead.join()

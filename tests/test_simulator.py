@@ -119,7 +119,7 @@ def test_grid_engine_groups_shuffled_repeated_points():
     """Grouping by selection key keeps every point's own estimate, in the caller's order.
 
     The grid comes shuffled, some points twice, and the unavailable-mode
-    points at four deltas share one key per scheme and route.
+    points at four deltas share one key per scheme.
     """
     shared = [
         (params(delta=delta, snr_db=snr), scheme, UNAVAIL)
@@ -173,8 +173,7 @@ def test_grid_engine_needs_one_k():
 
 # --- vectorised selection kernel ---------------------------------------------
 
-# scores drawn from a few values, so exact ties (+0.0 against -0.0 too) are common;
-# the largest float overflows under a multiplied margin
+# scores drawn from a few values, so exact ties (+0.0 against -0.0 too) are common
 _SCORE_VALUES = st.lists(
     st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.25, 7.0, np.finfo(np.float64).max, np.inf])
     | st.floats(allow_nan=False, width=64),
@@ -201,15 +200,6 @@ def test_first_argmax_equals_row_argmax(k, trials, values, dead, seed):
     assert np.array_equal(simulator._first_argmax(score_t), np.argmax(score, axis=1))
     gated = simulator._first_argmax(score_t, active_t)
     assert np.array_equal(gated, np.argmax(np.where(active, score, -np.inf), axis=1))
-    columns = rng.choice(trials, size=min(trials, 256), replace=False)
-    for margin in (1.0 + 2.0**-49, simulator._RATIO_MARGIN):
-        for mask in (None, active_t):
-            pick, unique, top = simulator._first_argmax(score_t, mask, margin)
-            assert np.array_equal(pick, gated if mask is not None else np.argmax(score, axis=1))
-            for t in columns.tolist():  # exactly one row within the margin of the column's top
-                row = [x if mask is None or up else -math.inf for x, up in zip(score[t].tolist(), active[t])]
-                assert top[t] == max(row)
-                assert unique[t] == (sum(x >= max(row) / margin for x in row) == 1)
     assert np.array_equal(score_t, score.T) and np.array_equal(active_t, active.T)  # inputs left alone
 
 
@@ -429,9 +419,6 @@ def test_engine_matches_select_on_forged_near_ties(monkeypatch):
 
 # unit gains: 0, or -log1p(-u) for grid uniforms, in [2^-53, 53 ln 2]
 _UNIT_GAINS = st.sampled_from([0.0, _U_STEP, _E_MAX]) | st.floats(_U_STEP, _E_MAX)
-_SAFE_LAMBDAS = st.sampled_from(list(simulator._SAFE_LAMBDA)) | st.floats(-100.0, 100.0).map(
-    lambda x: min(max(10.0**x, simulator._SAFE_LAMBDA[0]), simulator._SAFE_LAMBDA[1])
-)
 
 
 _NEAR = Fraction(1, 2**48)  # a relative distance within which rounding may decide an outcome
@@ -520,7 +507,7 @@ def _exact_outcomes(p, scheme, mode, e_d, e_e, up, links):
 def test_snr_rounds_like_one_division_and_overflows_only_past_the_float_range(gains, lam, sigma):
     """`_snr` is e / (lambda sigma) within two roundings, or inf where that exceeds the float range.
 
-    In the safe range, which `_ratio_top`'s proof reads, it is e / lambda / sigma bit for bit.
+    With lambda and sigma in [1e-100, 1e100] it is e / lambda / sigma bit for bit.
     """
     e = np.array(gains)
     got = simulator._snr(e, lam, sigma)
@@ -530,7 +517,7 @@ def test_snr_rounds_like_one_division_and_overflows_only_past_the_float_range(ga
             assert exact > _FLOAT_MAX * (1 - Fraction(1, 2**51))
         else:
             assert abs(Fraction(y) - exact) <= exact / 2**51 + Fraction(1, 2**1074)
-    low, high = simulator._SAFE_LAMBDA
+    low, high = 1e-100, 1e100
     if low <= lam <= high and low <= sigma <= high:
         assert np.array_equal(got, e / lam / sigma)
 
@@ -538,8 +525,8 @@ def test_snr_rounds_like_one_division_and_overflows_only_past_the_float_range(ga
 def test_extreme_lambdas_select_on_their_own_gains():
     """At +-3000 and 3080 dB the engine decides each trial as exact arithmetic does, where rounding cannot.
 
-    The optimal rule selects on its own gains outside the safe range, and
-    the scale-free rules pick on the unit gains at every lambda.  At
+    The optimal rule picks once per lambda_d on its scaled gains, and the
+    scale-free rules pick on the unit gains at every lambda.  At
     3080 dB e / lambda overflows for the larger unit gains although the
     gain over noise may not.  A `Fraction` referee decides every trial on
     the engine's unit gains; it excuses only the trials in which rounding
@@ -560,13 +547,6 @@ def test_extreme_lambdas_select_on_their_own_gains():
         for mode in KnowledgeMode
     ]
     points = [point for _, point in cells]
-    for p, scheme, mode in points:
-        route = simulator._selection_key(p, scheme, mode)[0]
-        if scheme is Scheme.OPTIMAL:  # shared along lambda_d only while both lambdas are in range
-            extreme = not all(1e-100 <= lam <= 1e100 for lam in (p.lambda_d, p.lambda_e))
-            assert route == ("own" if extreme else "anchored")
-        else:
-            assert route == "unit"
     u = uniform_block(seed=1, k=3, start=0, count=400)
     e_d, e_e = simulator._unit_gains(u, 3)
     links, excused = {}, {}
@@ -654,7 +634,7 @@ def test_overflowed_ratios_pick_on_unit_gains(tmp_path):
         assert float(row["simulated"]) == (nzr if row["metric"] == "nzr" else sop) / u.shape[0]
 
 
-# --- optimal picks shared along the SNR axis ---------------------------------
+# --- the optimal rule on forged rate ratios ----------------------------------
 
 
 def _ratio_rows(seed=5, bulk=400):
@@ -667,9 +647,7 @@ def _ratio_rows(seed=5, bulk=400):
     0 whose ratio is below 1; and links whose order crosses along the SNR
     axis.  Link 2 is weak.  Each pair comes with every gate pattern at
     delta = 0.5: all up, link 0 dead, link 1 the single live link, all dead.
-    The `bulk` ordinary rows keep the share of uncertified trials small, so
-    that points between anchors keep their anchor's picks and re-select the
-    forged trials on their own.
+    The `bulk` ordinary rows follow them.
     """
     rng = np.random.default_rng(seed)
 
@@ -714,67 +692,6 @@ def test_engine_matches_select_on_forged_rate_ratios(monkeypatch):
     for t in range(0, 4 * 45, 3):  # one forged trial alone: a one-column block
         _patch_stream(monkeypatch, u[t : t + 1])
         _assert_engine_is_reference(_ratio_grid(snrs=(0.0, 8.0, 20.0, 50.0)), u[t : t + 1])
-
-
-def test_anchored_plan_shares_and_re_selects_on_forged_rows():
-    """The forged rows reach every branch: anchors, shared runs and re-selection, gated or not."""
-    u = _ratio_rows()
-    e_d, e_e = simulator._unit_gains(u, 3)
-    grid = _ratio_grid()
-    p = grid[0][0]
-    lambdas = sorted({q.lambda_d for q, _, _ in grid})
-    for mask in (None, simulator._gates(u, 3, 0.5)):
-        inv = simulator._inverse_snr(e_e, p, mask)
-        plan = simulator._anchored_plan(e_d, lambdas, p.sigma_d, inv)
-        anchors = {anchor for anchor, _, _ in plan}
-        inner = [redo.size for t, (anchor, _, redo) in enumerate(plan) if t != anchor]
-        assert 2 <= len(anchors) < len(lambdas)
-        assert inner and all(0 < size < u.shape[0] for size in inner)
-        for lam in (lambdas[0], lambdas[-1]):  # 80 and -30 dB
-            certain = simulator._ratio_top(e_d, lam, p.sigma_d, inv)[1]
-            assert certain.any() and not certain.all()
-            if mask is not None:  # every pick of an all-dead trial is dead
-                assert certain[~mask.any(axis=0)].all() and not mask.any(axis=0).all()
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    k=st.integers(1, 5),
-    gains=st.lists(st.tuples(_UNIT_GAINS, _UNIT_GAINS), min_size=5, max_size=5),
-    gaps=st.lists(st.integers(-4, 4), max_size=4),
-    dead=st.sampled_from([0.0, 0.4, 1.0]),
-    lambda_ds=st.lists(_SAFE_LAMBDAS, min_size=1, max_size=8, unique=True),
-    lambda_e=_SAFE_LAMBDAS,
-    sigma_d=_SAFE_LAMBDAS,
-    sigma_e=_SAFE_LAMBDAS,
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_anchored_pick_is_the_per_point_pick(k, gains, gaps, dead, lambda_ds, lambda_e, sigma_d, sigma_e, seed):
-    """On the trials a position does not re-select, the shared pick is `_choose`'s, at any safe axis.
-
-    In every trial link b + 1 gets link 0's e_e and its e_d moved by gaps[b]
-    ulps, so near-ties are the rule.
-    """
-    rng = np.random.default_rng(seed)
-    trials = 64
-    pool = np.array(gains)
-    idx = rng.integers(0, len(pool), size=(k, trials))
-    e_d, e_e = pool[idx, 0].copy(), pool[idx, 1].copy()
-    for b, gap in enumerate(gaps[: k - 1], start=1):
-        e_e[b] = e_e[0]
-        e_d[b] = np.clip(e_d[0] + gap * np.spacing(e_d[0]), 0.0, _E_MAX)
-    up = rng.random((k, trials)) >= dead
-    lambdas = sorted(lambda_ds)
-    points = [SystemParams(k=k, delta=0.5, lambda_d=lam, lambda_e=lambda_e, sigma_d=sigma_d, sigma_e=sigma_e)
-              for lam in lambdas]
-    for mask in (None, up):
-        inv = simulator._inverse_snr(e_e, points[0], mask)
-        plan = simulator._anchored_plan(e_d, lambdas, sigma_d, inv)
-        for p, (_, sel, redo) in zip(points, plan):
-            expected = simulator._choose(p, Scheme.OPTIMAL, e_d, e_e, mask)
-            kept = np.ones(trials, dtype=bool)
-            kept[redo] = False
-            assert np.array_equal(sel[kept], expected[kept])
 
 
 # --- counts read from sorted per-trial thresholds ------------------------------
@@ -832,12 +749,15 @@ def _near_threshold_gains(rng, axis, trials):
 @example(k=3, dbs=(8.0, 1.0, 10.0), snrs=[0.0, 10.0, 20.0, 30.0], r_th=0.0, dead=1.0, seed=0)  # all gates dead
 @example(k=3, dbs=(-40.0, 40.0, 40.0), snrs=[-30.0, 0.0, 20.0, 40.0], r_th=1.0, dead=0.0, seed=1)  # X' = 1, a != b
 @example(k=2, dbs=(8.0, 1.0, 10.0), snrs=[0.0, 10.0, 20.0, 30.0, 40.0], r_th=1e-9, dead=0.5, seed=2)  # per point
+# lambda_d and sigma_d far outside [1e-100, 1e100], their product near 1
+@example(k=3, dbs=(8.0, 1500.0, 10.0), snrs=[1500.0 + 5.0 * i for i in range(13)], r_th=1.0, dead=0.5, seed=3)
 def test_threshold_counts_equal_the_per_point_path(k, dbs, snrs, r_th, dead, seed):
     """On forged rows near the thresholds, a sub-axis counted from sorted thresholds equals `hits` and `select`.
 
     Every scheme in both modes: the scale-free rules count on their shared
     pick, the optimal rule with gate knowledge on its best live link, and
-    the one-point runs take the per-point path.
+    the one-point runs take the per-point path.  The gated optimal rule is
+    counted from thresholds wherever rho allows it, whatever its lambdas.
     """
     lambda_e, sigma_d, sigma_e = dbs
     axis = [SystemParams.from_db(k=k, delta=0.5, snr_db=snr, lambda_e_db=lambda_e, sigma_d_db=sigma_d,
@@ -847,12 +767,21 @@ def test_threshold_counts_equal_the_per_point_path(k, dbs, snrs, r_th, dead, see
     e_d, e_e = _near_threshold_gains(rng, axis, trials)
     up = rng.random((k, trials)) >= dead
     points = [(p, scheme, mode) for p in axis for scheme in Scheme for mode in KnowledgeMode]
+    thresholds, slacks = simulator._thresholds, []
+
+    def recording(e_d, b, live, rho, slack, metrics):
+        slacks.append(slack)
+        return thresholds(e_d, b, live, rho, slack, metrics)
+
     with pytest.MonkeyPatch.context() as patch:  # the stream's rows are trial indices into the forged gains and gates
         patch.setattr(simulator, "uniform_block", lambda seed, k, start, count: np.arange(start, start + count)[:, None])
         patch.setattr(simulator, "_unit_gains", lambda u, k: (e_d[:, u[:, 0]], e_e[:, u[:, 0]]))
         patch.setattr(simulator, "_gates", lambda u, k, delta: up[:, u[:, 0]])
+        patch.setattr(simulator, "_thresholds", recording)
         grid = simulate_grid(points, trials, seed=1)
         per_point = [simulate_point(p, scheme, mode, trials, seed=1, block=trials // 3) for p, scheme, mode in points]
+    rho = axis[0].rho
+    assert (simulator._SLACK in slacks) == (rho == 1.0 or rho >= simulator._COUNT_RHO)  # only the optimal rule's
     for (p, scheme, mode), est, alone in zip(points, grid, per_point):
         assert est == alone, (p, scheme, mode)
         _, nzr, sop = _select_on_gains(p, scheme, mode, e_d, e_e, up)
@@ -864,13 +793,13 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
 
     rts, tts and min-es select once each, and every point of the four
     schemes reads its counts from one sorted threshold set per scheme: the
-    optimal rule needs no anchor and no selection, and no trial's threshold
-    lies close enough to any point to need one.
+    optimal rule needs no selection, and no trial's threshold lies close
+    enough to any point to need one.  Without gate knowledge the optimal
+    rule is not counted from thresholds: it selects once per SNR.
     """
-    calls = {"full": 0, "anchors": 0, "band": 0, "thresholds": 0}
+    calls = {"full": 0, "band": 0, "thresholds": 0}
     built = []  # weak references to each block's e_d as the producer made it
-    unit_gains, choose = simulator._unit_gains, simulator._choose
-    ratio_top, thresholds = simulator._ratio_top, simulator._thresholds
+    unit_gains, choose, thresholds = simulator._unit_gains, simulator._choose, simulator._thresholds
 
     def tracking_gains(u, k):
         e_d, e_e = unit_gains(u, k)
@@ -886,28 +815,25 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
             calls["band"] += e_d.shape[1]
         return choose(p, scheme, e_d, *args)
 
-    def counting_ratio_top(e_d, *args):
-        calls["anchors"] += 1
-        return ratio_top(e_d, *args)
-
     def counting_thresholds(*args):
         calls["thresholds"] += 1
         return thresholds(*args)
 
     monkeypatch.setattr(simulator, "_unit_gains", tracking_gains)
     monkeypatch.setattr(simulator, "_choose", counting_choose)
-    monkeypatch.setattr(simulator, "_ratio_top", counting_ratio_top)
     monkeypatch.setattr(simulator, "_thresholds", counting_thresholds)
-    points = [
-        (params(k=5, delta=0.9, snr_db=float(snr)), scheme, AVAIL)
-        for snr in range(0, 61, 5)
-        for scheme in Scheme
-    ]
     trials = 200_000
-    simulate_grid(points, trials, seed=1)
     blocks = -(-trials // simulator.DEFAULT_BLOCK)
-    # rts 1, tts 1, min-es 1 and optimal 0, against 13 + 13 + 1 + 13 per lambda
-    assert calls == {"full": 3 * blocks, "anchors": 0, "band": 0, "thresholds": 4 * blocks}
+    # rts 1, tts 1, min-es 1 and optimal 0 (available) or 13 (unavailable), against 13 + 13 + 1 + 13 per lambda
+    for mode, full, counted in ((AVAIL, 3, 4), (UNAVAIL, 16, 3)):
+        points = [
+            (params(k=5, delta=0.9, snr_db=float(snr)), scheme, mode)
+            for snr in range(0, 61, 5)
+            for scheme in Scheme
+        ]
+        calls.update(dict.fromkeys(calls, 0))
+        simulate_grid(points, trials, seed=1)
+        assert calls == {"full": full * blocks, "band": 0, "thresholds": counted * blocks}, mode
 
 
 # --- block producer and requested metrics -----------------------------------
@@ -988,7 +914,7 @@ def test_grid_counts_only_the_metrics_asked_for(monkeypatch):
 
     Unit rules and the gated optimal rule on counted sub-axes (13 points)
     and point by point (3 points, and r_th 1e-9, whose rho is below
-    _COUNT_RHO), the anchored optimal rule without gate knowledge, and
+    _COUNT_RHO), the optimal rule without gate knowledge, and
     r_th 0 (rho = 1, where no outage reads the non-zero-rate bounds).
     Away from rho = 1, the thresholds of the metric not asked for are not formed.
     """
