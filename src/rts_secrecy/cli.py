@@ -225,13 +225,13 @@ def _grid(cfg: dict):
                 yield k, delta, snr_db, _params(cfg, k, delta, snr_db)
 
 
-def _simulate(cfg: dict, schemes: Sequence[Scheme], modes: Sequence[KnowledgeMode]) -> dict:
+def _simulate(cfg: dict) -> dict:
     """Estimates of the run's metrics keyed by (params, scheme, mode); one stream pass per k."""
     by_k: dict[int, dict] = {}
     for k, _, _, p in _grid(cfg):
         points = by_k.setdefault(k, {})
-        for scheme in schemes:
-            for mode in modes:
+        for scheme in cfg["scheme"]:
+            for mode in cfg["mode"]:
                 points[(p, scheme, mode)] = None
     estimates = {}
     for points in by_k.values():
@@ -249,8 +249,16 @@ def _agrees(est: MetricEstimate, value: float) -> bool:
     return lo - 1e-12 <= value <= hi + 1e-12
 
 
-def _grid_rows(cfg: dict, check: bool, estimates: dict) -> tuple[list[list[str]], int]:
-    """Sweep/compare rows; returns (rows, failed check count)."""
+def _write_csv(stream: TextIO, rows: list[list[str]]) -> None:
+    stream.write(CSV_HEADER + "\n")
+    csv.writer(stream, lineterminator="\n").writerows(rows)
+
+
+def cmd_sweep(cfg: dict, check: bool, stream: TextIO, compare: bool = False) -> int:
+    """CSV rows over the grid; `compare` takes one k and delta, and its --check also asserts the scheme order."""
+    if compare and (len(cfg["k"]) != 1 or len(cfg["delta"]) != 1):
+        raise UsageError("compare takes a single k and delta value")
+    estimates = _simulate(cfg)
     rows: list[list[str]] = []
     failures = 0
     for k, delta, snr_db, p in _grid(cfg):
@@ -290,32 +298,8 @@ def _grid_rows(cfg: dict, check: bool, estimates: dict) -> tuple[list[list[str]]
                             ";".join(flags),
                         ]
                     )
-    return rows, failures
-
-
-def _write_csv(stream: TextIO, command: str, settings: dict[str, str], rows: list[list[str]]) -> None:
-    _echo_settings(stream, command, settings)
-    stream.write(CSV_HEADER + "\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerows(rows)
-
-
-def cmd_sweep(settings: dict[str, str], cfg: dict, check: bool, stream: TextIO) -> int:
-    estimates = _simulate(cfg, cfg["scheme"], cfg["mode"])
-    rows, failures = _grid_rows(cfg, check, estimates)
-    _write_csv(stream, "sweep", settings, rows)
-    if failures:
-        stream.write(f"# check failures = {failures}\n")
-    return 2 if failures else 0
-
-
-def cmd_compare(settings: dict[str, str], cfg: dict, check: bool, stream: TextIO) -> int:
-    if len(cfg["k"]) != 1 or len(cfg["delta"]) != 1:
-        raise UsageError("compare takes a single k and delta value")
-    estimates = _simulate(cfg, cfg["scheme"], cfg["mode"])
-    rows, failures = _grid_rows(cfg, check, estimates)
-    _write_csv(stream, "compare", settings, rows)
-    if check:
+    _write_csv(stream, rows)
+    if compare and check:
         failures += _compare_order_failures(cfg, stream, estimates)
     if failures:
         stream.write(f"# check failures = {failures}\n")
@@ -354,10 +338,11 @@ def _compare_order_failures(cfg: dict, stream: TextIO, estimates: dict) -> int:
     return failures
 
 
-def cmd_validate(settings: dict[str, str], cfg: dict, check: bool, stream: TextIO) -> int:
+def cmd_validate(cfg: dict, check: bool, stream: TextIO) -> int:
     if cfg["scheme"] != [Scheme.RTS]:  # the echoed settings must say what ran
-        raise UsageError(f"validate simulates the rts scheme only, got --scheme {settings['scheme']}")
-    estimates = _simulate(cfg, [Scheme.RTS], cfg["mode"])
+        got = ",".join(scheme.value for scheme in cfg["scheme"])
+        raise UsageError(f"validate simulates the rts scheme only, got --scheme {got}")
+    estimates = _simulate(cfg)
     rows = []
     for _, _, snr_db, p in _grid(cfg):
         for row in analytics.validate_point(p, snr_db):
@@ -365,7 +350,6 @@ def cmd_validate(settings: dict[str, str], cfg: dict, check: bool, stream: TextI
                 continue
             est = estimates[(p, Scheme.RTS, row.mode)][row.metric]
             rows.append(replace(row, simulated=est.value, std_err=est.std_err))
-    _echo_settings(stream, "validate", settings)
     analytics.write_validation_report(rows, stream)
     undocumented = sum(1 for row in rows if not row.documented)
     if check and undocumented:
@@ -374,13 +358,11 @@ def cmd_validate(settings: dict[str, str], cfg: dict, check: bool, stream: TextI
     return 0
 
 
-def cmd_point(settings: dict[str, str], cfg: dict, check: bool, stream: TextIO) -> int:
+def cmd_point(cfg: dict, check: bool, stream: TextIO) -> int:
     if len(cfg["k"]) != 1 or len(cfg["delta"]) != 1 or len(cfg["snr-db"]) != 1:
         raise UsageError("point takes a single k, delta, and snr-db value")
-    k, delta, snr_db = cfg["k"][0], cfg["delta"][0], cfg["snr-db"][0]
-    p = _params(cfg, k, delta, snr_db)
-    _echo_settings(stream, "point", settings)
-    estimates = _simulate(cfg, cfg["scheme"], cfg["mode"])
+    ((k, delta, _, p),) = _grid(cfg)
+    estimates = _simulate(cfg)
     failures = 0
     for scheme in cfg["scheme"]:
         for mode in cfg["mode"]:
@@ -410,7 +392,8 @@ def cmd_point(settings: dict[str, str], cfg: dict, check: bool, stream: TextIO) 
 # command -> (handler, help, defaults that override the flag table's)
 _COMMANDS = {
     "sweep": (cmd_sweep, "metric estimates over a parameter grid", {}),
-    "compare": (cmd_compare, "selection schemes side by side at one point", {
+    "compare": (lambda cfg, check, stream: cmd_sweep(cfg, check, stream, compare=True),
+                "selection schemes side by side at one point", {
         "k": "5", "delta": "0.9", "scheme": "rts,tts,min-es,optimal",
         "metric": "sop", "mode": "available",
     }),
@@ -435,7 +418,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if cfg["out"] != "-":  # an unwritable path fails before the run; appending keeps an old file's bytes
             open(cfg["out"], "a", encoding="utf-8").close()
         buffer = io.StringIO()  # the output is written only once the command has returned 0 or 2
-        code = handler(settings, cfg, args.check, buffer)
+        _echo_settings(buffer, args.command, settings)
+        code = handler(cfg, args.check, buffer)
         if cfg["out"] == "-":
             sys.stdout.write(buffer.getvalue())
         else:

@@ -27,7 +27,6 @@ DEFAULT_BLOCK = 1 << 14
 _WORDS_PER_COUNTER_STEP = 4
 _PIECE_WORDS = 1 << 15  # values per piece when a block's gains are transposed
 _BAND = 1.0 + 2.0**-30  # M of `_thresholds`: `hits` decides the trials whose threshold lies within c M^+-1
-_SLACK = 2.0**-50  # D of `_thresholds`: the optimal rule's X' may round to 1 within D (1 + b) of a = b
 _COUNT_RHO = 1.0 + 2.0**-20  # thresholds need rho = 1 or this much: below it theta = rho (1 + b) - 1 cancels
 _COUNT_POINTS = 4  # sub-axes of fewer points cost less per point than sorted thresholds
 _AHEAD_BLOCK = 1 << 12  # narrower blocks build inline: a thread per block costs more than it hides
@@ -117,8 +116,7 @@ def _score(scheme: Scheme, p: SystemParams, g_d: float, g_e: float) -> float:
         return g_d
     if scheme is Scheme.MIN_ES:
         return -g_e
-    ratio = (1.0 + g_d / p.sigma_d) / (1.0 + g_e / p.sigma_e)  # the SNR ratio X
-    return 0.0 if math.isnan(ratio) else ratio  # as in `_choose`: NaN (inf / inf) scores 0
+    return (g_d / p.sigma_d - g_e / p.sigma_e) / (1.0 + g_e / p.sigma_e)  # S = X - 1, as in `_choose`
 
 
 def select(
@@ -182,6 +180,12 @@ def _exponent(lam: float, sigma: float) -> int:
     return -(math.frexp(lam)[1] + math.frexp(sigma)[1])
 
 
+def _scale(p: SystemParams) -> tuple[int, int] | None:
+    """(m, t) where `_exponent` passes +-960: `_choose` and `hits` then form a and b over 2^m, 1 + b over 2^t."""
+    n_d, n_e = _exponent(p.lambda_d, p.sigma_d), _exponent(p.lambda_e, p.sigma_e)
+    return None if max(abs(n_d), abs(n_e)) <= 960 else (max(n_d, n_e), max(n_e, 0))
+
+
 def _snr(e: np.ndarray, lam: float, sigma: float, shift: int = 0) -> np.ndarray:
     """Gain over noise e / lambda / sigma, over 2^shift, of unit gains e (`_unit_gains`): 0 or in [2^-53, 36.75].
 
@@ -222,9 +226,11 @@ def _choose(
     rts, tts and min-es are scale-free: a point's g = e / lambda multiplies
     every score of a trial by one positive constant, so they pick on the
     unit scores e_d / e_e (+inf where e_e == 0, 0/0 included), e_d and -e_e,
-    at every point alike.  Only the optimal rule reads `p`: it scores the
-    SNR ratio X' of the scaled gains, 0 where both of its terms overflow
-    (inf / inf): the largest rate wherever one is non-zero.  The gate
+    at every point alike.  Only the optimal rule reads `p`: it scores
+    S = X - 1 = (a - b) / (1 + b) as (a_m - b_m) / (2^-t + b_t), x_s being
+    the gain over noise over 2^s (`_scale`; m = t = 0 in the normal range):
+    S 2^(t - m), which orders links as S does.  Its sign is that of
+    a_m - b_m, 0 only where a_m = b_m (gradual underflow).  The gate
     `mask` is None without gate knowledge; with it dead transmitters score
     -inf, and when every gate is down the pick is index 0, which is dead
     and so never counts as live.
@@ -238,9 +244,11 @@ def _choose(
     elif scheme is Scheme.MIN_ES:
         score = -e_e
     else:
-        with np.errstate(invalid="ignore"):  # inf / inf, as in `_Selection.hits`
-            ratio = (1.0 + _snr(e_d, p.lambda_d, p.sigma_d)) / (1.0 + _snr(e_e, p.lambda_e, p.sigma_e))
-        score = np.fmax(ratio, 0.0)  # NaN to 0
+        m, t = _scale(p) or (0, 0)
+        score, b = _snr(e_d, p.lambda_d, p.sigma_d, m), _snr(e_e, p.lambda_e, p.sigma_e, t)
+        score -= b if t == m else _snr(e_e, p.lambda_e, p.sigma_e, m)
+        with np.errstate(over="ignore"):  # only where e_e = 0 and t > 1074: 2^-t is kept >= 2^-1074
+            score /= np.add(b, math.ldexp(1.0, max(-t, -1074)), out=b)
     return _first_argmax(score, mask)
 
 
@@ -252,14 +260,14 @@ class _Selection:
     gathered once (a point scales them by its own 1/lambda, which is bit
     for bit the gather of its scaled gains), and the eavesdropper's gain
     over noise g_e / sigma_e and the picked gate states are made once per
-    (lambda_e, sigma_e) and per delta.
+    (lambda_e, sigma_e, m) of `_scale` and per delta.
     """
 
     def __init__(self, sel: np.ndarray, e_d: np.ndarray, e_e: np.ndarray, trials: np.ndarray | None = None):
         trials = np.arange(sel.size) if trials is None else trials
         self.pick = np.asarray(sel, dtype=np.intp) * e_d.shape[1] + trials  # flat [sel, trial]
         self.e_d, self.e_e = e_d.take(self.pick), e_e.take(self.pick)
-        self._snr_e: dict[tuple[float, float], np.ndarray] = {}
+        self._snr_e: dict[tuple[float, float, int], np.ndarray] = {}
         self._lives: dict[float, np.ndarray] = {}
 
     def hits(self, p: SystemParams, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,71 +277,64 @@ class _Selection:
         non-zero where a > b, which needs no sum with 1 (1 + a and 1 + b
         round to 1 below about 2^-53).  It is in outage where a < b if
         rho = fl(2^r_th) is 1, else where X' = (1 + a) / (1 + b) < rho; a
-        dead link always is.  Where a or b may leave the normal range
-        (`_exponent` past +-960), they are compared over 2^max(n_d, n_e): one
-        is then 0 or in [2^-53, 147], and the other underflows only far below
-        it.  X' is inf or 0 where one of a and b is inf, the right limit, and
-        where both are, their quotient on their own scales times 2^(n_d - n_e).
+        dead link always is.  All three are formed over 2^m of `_scale`
+        (m = 0 in the normal range): a_m, b_m and X' = (one + a_m) / (one +
+        b_m), one = 2^-m kept in [2^-1074, 2^1023].  Past the normal range
+        the larger of a_m and b_m is 0 or in [2^-53, 147] and the other
+        underflows only far below it, so a_m > b_m is a > b, and X' < rho is
+        X < rho but within a few roundings of rho, where one + b_m is
+        subnormal (X and X' past 2^968), and where e_e = 0 with m > 1074.
         """
-        key = p.lambda_e, p.sigma_e
+        m = (_scale(p) or (0, 0))[0]
+        key = p.lambda_e, p.sigma_e, m
         if key not in self._snr_e:
-            self._snr_e[key] = _snr(self.e_e, p.lambda_e, p.sigma_e)
+            self._snr_e[key] = _snr(self.e_e, p.lambda_e, p.sigma_e, m)
         if p.delta not in self._lives:
             self._lives[p.delta] = active.take(self.pick)
-        a, b, live = _snr(self.e_d, p.lambda_d, p.sigma_d), self._snr_e[key], self._lives[p.delta]
-        n_d, n_e = _exponent(p.lambda_d, p.sigma_d), _exponent(p.lambda_e, p.sigma_e)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # inf / inf; x / 0 is not read
-            ratio = None if p.rho == 1.0 else (1.0 + a) / (1.0 + b)
-            if max(abs(n_d), abs(n_e)) > 960:  # a or b may be inf, 0 or subnormal
-                a, b = _snr(self.e_d, p.lambda_d, p.sigma_d, n_d), _snr(self.e_e, p.lambda_e, p.sigma_e, n_e)
-                if ratio is not None:
-                    np.copyto(ratio, np.ldexp(a / b, n_d - n_e), where=np.isnan(ratio))
-                a, b = np.ldexp(a, min(n_d - n_e, 0)), np.ldexp(b, min(n_e - n_d, 0))
-        below = a < b if ratio is None else ratio < p.rho
+        a, b, live = _snr(self.e_d, p.lambda_d, p.sigma_d, m), self._snr_e[key], self._lives[p.delta]
+        one = math.ldexp(1.0, min(max(-m, -1074), 1023))
+        with np.errstate(over="ignore"):  # X' past 2^1024: a_m over a subnormal one + b_m
+            below = a < b if p.rho == 1.0 else (one + a) / (one + b) < p.rho
         return live & (a > b), ~live | below
 
 
-def _thresholds(e_d: np.ndarray, b: np.ndarray, live: np.ndarray, rho: float, slack: float,
+def _thresholds(e_d: np.ndarray, b: np.ndarray, live: np.ndarray, rho: float,
                 metrics: Sequence[Metric]) -> dict[Metric, tuple]:
-    """Per-trial bounds on c = lambda_d sigma_d of `metrics`: (P, sorted P, Q, sorted Q) each.
+    """Per-trial bounds on c = lambda_d sigma_d of `metrics`: (top, sorted top) each.
 
-    NZR reads the bounds of a non-zero rate, SOP those of no outage, which
-    at rho = 1 are the same (so NZR's are formed then too).  Columns hold
-    (k, n) unit gains e_d, their b (`_snr`) and gates `live`: the shared
-    pick of a scale-free rule (k = 1, `slack` 0), or every link of the
-    gated optimal rule (_SLACK).  The event holds where P > fl(c M),
-    fails where Q < fl(c / M), M = _BAND; `hits` decides the rest, NaN
-    (0 / 0) included.  Why, with u = 2^-53: |`_exponent`| <= 960 keeps a, b
-    and c normal, a = e_d / c* (1 + alpha), |alpha| < 2.01u, for the exact
-    c* = lambda_d sigma_d, T, R and P lie within 3.1u of their exact values
-    or far past every c, and c M^+-1 within 2u; a dead link has e_d = 0.
-    e_d / b > c M means a > b, e_d / b < c / M a < b.  X' = fl(fl(1 + a) /
-    fl(1 + b)) is (1 + a*) / (1 + b) within 5.02u: with theta = (rho - 1) +
-    rho b it is < rho where a* < theta (1 - kappa), >= rho where a* > theta
-    (1 + kappa), kappa = 5.03u rho (1 + b) / theta <= 5.03u rho / (rho - 1)
-    < 0.63 2^-30 for rho >= _COUNT_RHO.  M > (1 + kappa)(1 + 5.1u), so
-    R = e_d / theta bounds no outage; at rho = 1 that is a >= b, bounded as
-    a > b but for e_d = b = 0 (NaN).  The gated optimal rule picks the first
-    maximum of X' over live links, which `hits` forms bit for bit: R, P and
-    Q of a trial are maxima over its links.  A link's fl(1 + a) > fl(1 + b)
-    where a > b + 4u (1 + b), < where a < b - 4u (1 + b), and X' > 1 (< 1)
-    at the pick means a > b (a < b).  So with D = _SLACK = 8u, P = e_d /
-    (b + D (1 + b)) and Q = e_d / y, y = fl(fl(b (1 - D)) - D) <= b - 4u
-    (1 + b), inf or NaN where y <= 0, bound a non-zero rate.
+    NZR reads T = e_d / b, SOP R = e_d / theta, theta = (rho - 1) + rho b,
+    or T at rho = 1.  Columns hold (k, n) unit gains e_d, their b (`_snr`)
+    and gates `live`: the shared pick of a scale-free rule (k = 1), or every
+    link of the gated optimal rule; a trial's bound is its maximum over live
+    links.  The event holds where it is > fl(c M), fails where it is
+    < fl(c / M), M = _BAND; `hits` decides the rest, NaN (0 / 0) included.
+    Why, with u = 2^-53: |`_exponent`| <= 960 keeps a, b and c normal,
+    a = a* (1 + alpha), |alpha| < 2.01u, for a* = e_d / c* and the exact
+    c* = lambda_d sigma_d, T and R lie within 3.1u of their exact values or
+    far past every c, and c M^+-1 within 2u; a dead link has e_d = 0.
+    e_d / b > c M means a > b, e_d / b < c / M a < b.  The gated optimal
+    rule picks the first maximum over live links of S' = fl(fl(a - b) /
+    fl(1 + b)), whose sign is that of a - b, so a non-zero rate, and no
+    outage at rho = 1 (a >= b), hold at the pick where they do at some live
+    link.  X' = fl(fl(1 + a) / fl(1 + b)) of the pick is < rho where
+    a* < theta (1 - kappa), kappa = 5.03u rho (1 + b) / theta, and, as S'
+    is S = X - 1 within 3.01u near S = rho - 1 >= 2^-20, >= rho where
+    a* > theta (1 + kappa) at some live link, kappa = (5.03u rho + 6.03u
+    (rho - 1)) (1 + b) / theta.  Both are <= 5.03u rho / (rho - 1) + 6.03u
+    < 0.63 2^-30 for rho >= _COUNT_RHO, and M > (1 + kappa)(1 + 5.1u).
     """
 
-    def bound(scale: float, shift: float) -> tuple[np.ndarray, np.ndarray]:
-        np.add(np.multiply(b, scale, out=x), shift, out=x)  # b scale + shift, then e_d over it: formed in place
-        top = np.divide(e_d, np.maximum(x, 0.0, out=x) if shift < 0 else x, out=x).max(axis=0)  # a NaN wins
+    def bound(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        top = np.divide(e_d, theta, out=x).max(axis=0)  # a NaN wins
         return top, np.sort(top)  # NaN sorts last
 
     e_d, x, bounds = e_d * live, np.empty_like(b), {}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # x / 0, 0 / 0, overflow to inf
         if Metric.NZR in metrics or rho == 1.0:
-            p = bound(1.0 + slack, slack)  # b + D (1 + b)
-            bounds[Metric.NZR] = p + (bound(1.0 - slack, -slack) if slack else p)
+            bounds[Metric.NZR] = bound(b)
         if Metric.SOP in metrics:
-            bounds[Metric.SOP] = bounds[Metric.NZR] if rho == 1.0 else 2 * bound(rho, rho - 1.0)
+            theta = None if rho == 1.0 else np.add(np.multiply(b, rho, out=x), rho - 1.0, out=x)  # in place
+            bounds[Metric.SOP] = bounds[Metric.NZR] if theta is None else bound(theta)
     return bounds
 
 
@@ -400,9 +401,8 @@ def _sub_axis(key: tuple, p: SystemParams) -> tuple | None:
     It fails for the optimal rule without gate knowledge (whether its pick is dead depends on which
     link wins), wherever |`_exponent`| > 960, and for 1 < rho < _COUNT_RHO.
     """
-    fits = key[0] is not Scheme.OPTIMAL or key[1] is KnowledgeMode.AVAILABLE
-    scale = max(abs(_exponent(p.lambda_d, p.sigma_d)), abs(_exponent(p.lambda_e, p.sigma_e)))
-    fits = fits and scale <= 960 and (p.rho == 1.0 or p.rho >= _COUNT_RHO)
+    fits = (key[0] is not Scheme.OPTIMAL or key[1] is KnowledgeMode.AVAILABLE) and _scale(p) is None
+    fits = fits and (p.rho == 1.0 or p.rho >= _COUNT_RHO)
     return (p.lambda_e, p.sigma_e, p.delta, p.rho) if fits else None
 
 
@@ -497,19 +497,19 @@ def simulate_grid(
                     if scheme is not Scheme.OPTIMAL:  # the shared pick of the scale-free rule
                         b = _snr(shared.e_e, q.lambda_e, q.sigma_e)[None]
                         live = gates[q.delta].take(shared.pick)[None]
-                        bounds = _thresholds(shared.e_d[None], b, live, q.rho, 0.0, metrics)
+                        bounds = _thresholds(shared.e_d[None], b, live, q.rho, metrics)
                     else:  # the gated optimal rule, on every link
-                        bounds = _thresholds(e_d, _snr(e_e, q.lambda_e, q.sigma_e), mask, q.rho, _SLACK, metrics)
+                        bounds = _thresholds(e_d, _snr(e_e, q.lambda_e, q.sigma_e), mask, q.rho, metrics)
                     c = np.array([points[i][0].lambda_d * points[i][0].sigma_d for i in members])
                     lo, hi = c / _BAND, c * _BAND
                     for event, metric in enumerate(Metric):  # a non-zero rate, no outage
                         if metric not in metrics:
                             continue
-                        top, top_sorted, low, low_sorted = bounds[metric]
+                        top, top_sorted = bounds[metric]
                         sure = top_sorted.searchsorted(np.inf, "right") - top_sorted.searchsorted(hi, "right")
-                        for j in np.flatnonzero(sure + low_sorted.searchsorted(lo) < top.size):  # left to `hits`
+                        for j in np.flatnonzero(sure + top_sorted.searchsorted(lo) < top.size):  # left to `hits`
                             p = points[members[j]][0]
-                            band = np.flatnonzero(~(top > hi[j]) & ~(low < lo[j]))  # NaN included
+                            band = np.flatnonzero(~(top > hi[j]) & ~(top < lo[j]))  # NaN included
                             nzr, outage = _exact(p, scheme, e_d, e_e, mask, gates[p.delta], band)
                             sure[j] += np.count_nonzero(~outage if event else nzr)
                         hits[event, members] += sure

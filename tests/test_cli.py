@@ -458,6 +458,23 @@ def test_compare_check_passes_when_eavesdropper_noise_is_low(tmp_path):
     assert "# order check failed" not in out.read_text()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        # every gain over noise lies below 2^-53, where each X' = (1 + a) / (1 + b) rounds to 1
+        ["--snr-db=-200", "--lambda-e-db=-200", "--rth", "0", "--k", "3"],
+        # every gain over noise overflows, where each X' is inf / inf
+        ["--snr-db", "3080", "--lambda-e-db", "3080", "--sigma-d-db=-3080", "--sigma-e-db=-3080", "--k", "4",
+         "--delta", "1", "--scheme", "rts,optimal"],
+    ],
+)
+def test_optimal_rule_bounds_rts_where_its_ratio_leaves_the_float_range(capsys, extra):
+    # the optimal rule picks on S = X - 1, so it orders the links where X' cannot
+    code, captured = run(["compare", "--check", "--metric", "nzr,sop", "--trials", "20000", *extra], capsys)
+    assert (code, captured.err) == (0, "")
+    assert "# order check failed" not in captured.out
+
+
 @pytest.mark.parametrize("command", ["sweep", "compare", "point"])
 def test_check_needs_rts(capsys, command):
     # --check compares rts with its oracle; without rts it would check nothing and pass
