@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,10 +27,10 @@ from .params import KnowledgeMode, Metric, Scheme, SystemParams, secrecy_rate
 DEFAULT_BLOCK = 1 << 14
 _WORDS_PER_COUNTER_STEP = 4
 _PIECE_WORDS = 1 << 15  # values per piece when a block's gains are transposed
-_BAND = 1.0 + 2.0**-30  # M of `_thresholds`: `hits` decides the trials whose threshold lies within c M^+-1
+_BAND = 1.0 + 2.0**-30  # M of `_link_bounds`: `hits` decides the trials whose threshold lies within c M^+-1
 _COUNT_RHO = 1.0 + 2.0**-20  # thresholds need rho = 1 or this much: below it theta = rho (1 + b) - 1 cancels
 _COUNT_POINTS = 4  # sub-axes of fewer points cost less per point than sorted thresholds
-_AHEAD_BLOCK = 1 << 12  # narrower blocks build inline: a thread per block costs more than it hides
+_AHEAD_BLOCK = 1 << 12  # narrower blocks run inline: a second walker's hand-offs cost more than it hides
 
 
 def trial_stride(k: int) -> int:
@@ -156,17 +157,20 @@ def _unit_gains(u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     log1p runs on (trials, k) row slices, as in `realization_from_uniforms`
     row by row; only its results are laid out transmitter-major.  The rows
-    go in pieces of about _PIECE_WORDS values, each transposed while it is
-    still in cache: at k = 64 one whole-block transpose costs more than
-    the log1p.
+    go in pieces of about _PIECE_WORDS values, each mapped in place in one
+    scratch array and negated into its transposed place while it is still
+    in cache: at k = 64 one whole-block transpose costs more than the log1p.
     """
     trials = u.shape[0]
     e_d, e_e = np.empty((k, trials)), np.empty((k, trials))
     step = max(1, _PIECE_WORDS // k)
+    scratch = np.empty((min(step, trials), k))
     for start in range(0, trials, step):
         rows = u[start : start + step]
-        e_d[:, start : start + step] = -np.log1p(-rows[:, :k]).T
-        e_e[:, start : start + step] = -np.log1p(-rows[:, k : 2 * k]).T
+        x = scratch[: rows.shape[0]]
+        for side, out in ((rows[:, :k], e_d), (rows[:, k : 2 * k], e_e)):
+            np.log1p(np.negative(side, out=x), out=x)
+            np.negative(x.T, out=out[:, start : start + step])
     return e_d, e_e
 
 
@@ -219,7 +223,8 @@ def _first_argmax(score: np.ndarray, mask: np.ndarray | None = None) -> np.ndarr
 
 
 def _choose(
-    p: SystemParams, scheme: Scheme, e_d: np.ndarray, e_e: np.ndarray, mask: np.ndarray | None
+    p: SystemParams, scheme: Scheme, e_d: np.ndarray, e_e: np.ndarray, mask: np.ndarray | None,
+    terms: dict | None = None,
 ) -> np.ndarray:
     """Selected transmitter per trial from (k, trials) unit gains; ties go to the lowest index.
 
@@ -233,7 +238,8 @@ def _choose(
     a_m - b_m, 0 only where a_m = b_m (gradual underflow).  The gate
     `mask` is None without gate knowledge; with it dead transmitters score
     -inf, and when every gate is down the pick is index 0, which is dead
-    and so never counts as live.
+    and so never counts as live.  `terms` keeps b_t and 2^-t + b_t by t
+    for the other points of a group, which share lambda_e and sigma_e.
     """
     if scheme is Scheme.RTS:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -245,10 +251,15 @@ def _choose(
         score = -e_e
     else:
         m, t = _scale(p) or (0, 0)
-        score, b = _snr(e_d, p.lambda_d, p.sigma_d, m), _snr(e_e, p.lambda_e, p.sigma_e, t)
+        terms = {} if terms is None else terms
+        if t not in terms:
+            b = _snr(e_e, p.lambda_e, p.sigma_e, t)
+            terms[t] = b, b + math.ldexp(1.0, max(-t, -1074))
+        b, one_b = terms[t]
+        score = _snr(e_d, p.lambda_d, p.sigma_d, m)
         score -= b if t == m else _snr(e_e, p.lambda_e, p.sigma_e, m)
         with np.errstate(over="ignore"):  # only where e_e = 0 and t > 1074: 2^-t is kept >= 2^-1074
-            score /= np.add(b, math.ldexp(1.0, max(-t, -1074)), out=b)
+            score /= one_b
     return _first_argmax(score, mask)
 
 
@@ -257,18 +268,22 @@ class _Selection:
 
     `sel` is the picked row of each trial in `trials` (default: every trial
     of the (k, block) gains).  The unit gains of the picked links are
-    gathered once (a point scales them by its own 1/lambda, which is bit
-    for bit the gather of its scaled gains), and the eavesdropper's gain
-    over noise g_e / sigma_e and the picked gate states are made once per
-    (lambda_e, sigma_e, m) of `_scale` and per delta.
+    gathered once if read (a point scales them by its own 1/lambda, bit for
+    bit the gather of its scaled gains), and the eavesdropper's gain over
+    noise and the picked gates once per (lambda_e, sigma_e, m) and delta.
     """
 
     def __init__(self, sel: np.ndarray, e_d: np.ndarray, e_e: np.ndarray, trials: np.ndarray | None = None):
         trials = np.arange(sel.size) if trials is None else trials
         self.pick = np.asarray(sel, dtype=np.intp) * e_d.shape[1] + trials  # flat [sel, trial]
-        self.e_d, self.e_e = e_d.take(self.pick), e_e.take(self.pick)
+        self._block = e_d, e_e
         self._snr_e: dict[tuple[float, float, int], np.ndarray] = {}
         self._lives: dict[float, np.ndarray] = {}
+
+    @cached_property
+    def gains(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit gains (e_d, e_e) of the picked links."""
+        return self._block[0].take(self.pick), self._block[1].take(self.pick)
 
     def hits(self, p: SystemParams, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(non-zero rate, outage) of each picked link at point `p`, as fresh arrays.
@@ -285,29 +300,29 @@ class _Selection:
         X < rho but within a few roundings of rho, where one + b_m is
         subnormal (X and X' past 2^968), and where e_e = 0 with m > 1074.
         """
-        m = (_scale(p) or (0, 0))[0]
+        m, (e_d, e_e) = (_scale(p) or (0, 0))[0], self.gains
         key = p.lambda_e, p.sigma_e, m
         if key not in self._snr_e:
-            self._snr_e[key] = _snr(self.e_e, p.lambda_e, p.sigma_e, m)
+            self._snr_e[key] = _snr(e_e, p.lambda_e, p.sigma_e, m)
         if p.delta not in self._lives:
             self._lives[p.delta] = active.take(self.pick)
-        a, b, live = _snr(self.e_d, p.lambda_d, p.sigma_d, m), self._snr_e[key], self._lives[p.delta]
+        a, b, live = _snr(e_d, p.lambda_d, p.sigma_d, m), self._snr_e[key], self._lives[p.delta]
         one = math.ldexp(1.0, min(max(-m, -1074), 1023))
         with np.errstate(over="ignore"):  # X' past 2^1024: a_m over a subnormal one + b_m
             below = a < b if p.rho == 1.0 else (one + a) / (one + b) < p.rho
         return live & (a > b), ~live | below
 
 
-def _thresholds(e_d: np.ndarray, b: np.ndarray, live: np.ndarray, rho: float,
-                metrics: Sequence[Metric]) -> dict[Metric, tuple]:
-    """Per-trial bounds on c = lambda_d sigma_d of `metrics`: (top, sorted top) each.
+def _link_bounds(e_d: np.ndarray, b: np.ndarray, live: np.ndarray, rho: float,
+                 metrics: Sequence[Metric]) -> dict[Metric, np.ndarray]:
+    """Per-link bounds on c = lambda_d sigma_d of `metrics`, shaped as `e_d`; at rho = 1 SOP reads NZR's.
 
     NZR reads T = e_d / b, SOP R = e_d / theta, theta = (rho - 1) + rho b,
-    or T at rho = 1.  Columns hold (k, n) unit gains e_d, their b (`_snr`)
-    and gates `live`: the shared pick of a scale-free rule (k = 1), or every
-    link of the gated optimal rule; a trial's bound is its maximum over live
-    links.  The event holds where it is > fl(c M), fails where it is
-    < fl(c / M), M = _BAND; `hits` decides the rest, NaN (0 / 0) included.
+    or T at rho = 1.  Columns hold unit gains e_d, their b (`_snr`) and
+    gates `live`: every link of a block (k, n), or a scale-free rule's pick
+    (n); a trial's bound is its maximum over live links, or the pick's.
+    The event holds where it is > fl(c M), fails where it is < fl(c / M),
+    M = _BAND; `hits` decides the rest, NaN (0 / 0) included.
     Why, with u = 2^-53: |`_exponent`| <= 960 keeps a, b and c normal,
     a = a* (1 + alpha), |alpha| < 2.01u, for a* = e_d / c* and the exact
     c* = lambda_d sigma_d, T and R lie within 3.1u of their exact values or
@@ -323,18 +338,14 @@ def _thresholds(e_d: np.ndarray, b: np.ndarray, live: np.ndarray, rho: float,
     (rho - 1)) (1 + b) / theta.  Both are <= 5.03u rho / (rho - 1) + 6.03u
     < 0.63 2^-30 for rho >= _COUNT_RHO, and M > (1 + kappa)(1 + 5.1u).
     """
-
-    def bound(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        top = np.divide(e_d, theta, out=x).max(axis=0)  # a NaN wins
-        return top, np.sort(top)  # NaN sorts last
-
-    e_d, x, bounds = e_d * live, np.empty_like(b), {}
+    e_d, bounds = e_d * live, {}
+    sop = Metric.SOP in metrics and rho != 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # x / 0, 0 / 0, overflow to inf
         if Metric.NZR in metrics or rho == 1.0:
-            bounds[Metric.NZR] = bound(b)
-        if Metric.SOP in metrics:
-            theta = None if rho == 1.0 else np.add(np.multiply(b, rho, out=x), rho - 1.0, out=x)  # in place
-            bounds[Metric.SOP] = bounds[Metric.NZR] if theta is None else bound(theta)
+            bounds[Metric.NZR] = np.divide(e_d, b, out=None if sop else e_d)
+        if sop:
+            theta = b * rho
+            bounds[Metric.SOP] = np.divide(e_d, np.add(theta, rho - 1.0, out=theta), out=e_d)
     return bounds
 
 
@@ -396,7 +407,7 @@ def _selection_key(p: SystemParams, scheme: Scheme, mode: KnowledgeMode) -> tupl
 
 
 def _sub_axis(key: tuple, p: SystemParams) -> tuple | None:
-    """What the points counted by one `_thresholds` share in a group; None where its proof fails.
+    """What the points counted from sorted `_link_bounds` share in a group; None where its proof fails.
 
     It fails for the optimal rule without gate knowledge (whether its pick is dead depends on which
     link wins), wherever |`_exponent`| > 960, and for 1 < rho < _COUNT_RHO.
@@ -404,27 +415,6 @@ def _sub_axis(key: tuple, p: SystemParams) -> tuple | None:
     fits = (key[0] is not Scheme.OPTIMAL or key[1] is KnowledgeMode.AVAILABLE) and _scale(p) is None
     fits = fits and (p.rho == 1.0 or p.rho >= _COUNT_RHO)
     return (p.lambda_e, p.sigma_e, p.delta, p.rho) if fits else None
-
-
-class _Ahead(threading.Thread):
-    """`build(start)` run in a worker thread while the caller counts the block before; `take` joins it."""
-
-    def __init__(self, build, start: int):
-        super().__init__(target=self._run, args=(build, start))
-        self.block = self.error = None
-        self.start()
-
-    def _run(self, build, start: int) -> None:
-        try:
-            self.block = build(start)
-        except BaseException as exc:  # raised again in the caller's thread by `take`
-            self.error = exc
-
-    def take(self) -> tuple:
-        self.join()
-        if self.error is not None:
-            raise self.error
-        return self.block
 
 
 def simulate_grid(
@@ -443,14 +433,16 @@ def simulate_grid(
     optimal rule, one for the whole group otherwise.  Per block the
     uniforms are generated once, mapped to unit-mean exponential gains once
     per side and to a gate mask once per distinct delta, all in (k, block)
-    layout; one worker thread builds the next block while this one is
-    counted (inline for a single block or blocks below _AHEAD_BLOCK).  A
-    sub-axis sorts the per-trial thresholds of `metrics` once
-    (`_thresholds`), and each of its points counts them and decides the
-    trials near its own c (`_exact`).  Each position picks once (`_choose`)
-    into one `_Selection`, whose `hits` count its points.  Memory is
-    O(block) whatever `trials` and the number of points, and every estimate
-    equals `simulate_point` on that point alone, at any block size.
+    layout.  This thread and one worker each take the next block, build it
+    and count it into their own integer hits, summed at the end (one walker
+    for one block or blocks below _AHEAD_BLOCK); an error in either stops
+    both after their current block.  A sub-axis sorts per-trial bounds of
+    `metrics` (`_link_bounds`, on every link for the gated optimal rule,
+    read at their pick by the scale-free rules of its sub-axis) and each
+    point decides the trials near its own c (`_exact`).  Each position
+    picks once (`_choose`) into one `_Selection`, whose `hits` count its
+    points.  Memory is O(block) whatever `trials` and the number of points,
+    and every estimate equals `simulate_point` on that point alone.
     """
     _check_run(trials, block)
     ks = {p.k for p, _, _ in points}
@@ -471,54 +463,76 @@ def simulate_grid(
         else:
             axis.setdefault(points[i][0].lambda_d if optimal else None, []).append(i)
     deltas = {p.delta for p, _, _ in points}
+    linked = {sub for (scheme, *_), (_, _, counted) in groups.items() if scheme is Scheme.OPTIMAL for sub in counted}
 
     def build(start: int) -> tuple:
         u = uniform_block(seed, k, start, min(block, trials - start))
         e_d, e_e = _unit_gains(u, k)
         return e_d, e_e, {delta: _gates(u, k, delta) for delta in deltas}
 
-    hits = np.zeros((2, len(points)), dtype=np.int64)  # per point: trials with a non-zero rate, not in outage
-    ahead = None
-    try:
-        for start in range(0, trials, block):
-            e_d, e_e, gates = build(start) if ahead is None else ahead.take()
-            ahead = _Ahead(build, start + block) if block >= _AHEAD_BLOCK and start + block < trials else None
-            for (scheme, mode, *_), (lead, axis, counted) in groups.items():  # lead: what the key holds
-                mask = gates[lead.delta] if mode is KnowledgeMode.AVAILABLE else None
-                for members in axis.values():
-                    q = points[members[0]][0] if members else lead  # what the position holds
-                    shared = _Selection(_choose(q, scheme, e_d, e_e, mask), e_d, e_e)
-                    for i in members:
-                        p = points[i][0]
-                        nzr, outage = shared.hits(p, gates[p.delta])
-                        hits[:, i] += np.count_nonzero(nzr), outage.size - np.count_nonzero(outage)
-                for members in counted.values():
-                    q = points[members[0]][0]  # what the sub-axis holds
-                    if scheme is not Scheme.OPTIMAL:  # the shared pick of the scale-free rule
-                        b = _snr(shared.e_e, q.lambda_e, q.sigma_e)[None]
-                        live = gates[q.delta].take(shared.pick)[None]
-                        bounds = _thresholds(shared.e_d[None], b, live, q.rho, metrics)
-                    else:  # the gated optimal rule, on every link
-                        bounds = _thresholds(e_d, _snr(e_e, q.lambda_e, q.sigma_e), mask, q.rho, metrics)
-                    c = np.array([points[i][0].lambda_d * points[i][0].sigma_d for i in members])
-                    lo, hi = c / _BAND, c * _BAND
-                    for event, metric in enumerate(Metric):  # a non-zero rate, no outage
-                        if metric not in metrics:
-                            continue
-                        top, top_sorted = bounds[metric]
-                        sure = top_sorted.searchsorted(np.inf, "right") - top_sorted.searchsorted(hi, "right")
-                        for j in np.flatnonzero(sure + top_sorted.searchsorted(lo) < top.size):  # left to `hits`
-                            p = points[members[j]][0]
-                            band = np.flatnonzero(~(top > hi[j]) & ~(top < lo[j]))  # NaN included
-                            nzr, outage = _exact(p, scheme, e_d, e_e, mask, gates[p.delta], band)
-                            sure[j] += np.count_nonzero(~outage if event else nzr)
-                        hits[event, members] += sure
-            # drop this block's arrays before the next worker starts, not after
-            e_d = e_e = gates = mask = shared = bounds = None
-    finally:
-        if ahead is not None:
-            ahead.join()
-    counts = {Metric.NZR: hits[0], Metric.SOP: trials - hits[1]}
+    def count(e_d: np.ndarray, e_e: np.ndarray, gates: dict, hits: np.ndarray) -> None:
+        links = {}  # sub-axis -> `_link_bounds` on every link, formed once for the gated optimal rule
+        for (scheme, mode, *_), (lead, axis, counted) in groups.items():  # lead: what the key holds
+            mask = gates[lead.delta] if mode is KnowledgeMode.AVAILABLE else None
+            terms = {}  # what the optimal rule's positions share
+            for members in axis.values():
+                q = points[members[0]][0] if members else lead  # what the position holds
+                shared = _Selection(_choose(q, scheme, e_d, e_e, mask, terms), e_d, e_e)
+                for i in members:
+                    p = points[i][0]
+                    nzr, outage = shared.hits(p, gates[p.delta])
+                    hits[:, i] += np.count_nonzero(nzr), outage.size - np.count_nonzero(outage)
+            for sub, members in counted.items():
+                q = points[members[0]][0]  # what the sub-axis holds
+                if sub in linked:  # the gated optimal rule's sub-axis
+                    if sub not in links:
+                        links[sub] = _link_bounds(e_d, _snr(e_e, q.lambda_e, q.sigma_e), gates[q.delta], q.rho, metrics)
+                    optimal = scheme is Scheme.OPTIMAL
+                    tops = {m: per.max(axis=0) if optimal else per.take(shared.pick) for m, per in links[sub].items()}
+                else:  # the shared pick of a scale-free rule alone
+                    (picked_d, picked_e), live = shared.gains, gates[q.delta].take(shared.pick)
+                    tops = _link_bounds(picked_d, _snr(picked_e, q.lambda_e, q.sigma_e), live, q.rho, metrics)
+                ranked = {m: (top, np.sort(top)) for m, top in tops.items()}  # NaN (a NaN bound wins) sorts last
+                c = np.array([points[i][0].lambda_d * points[i][0].sigma_d for i in members])
+                lo, hi = c / _BAND, c * _BAND
+                for event, metric in enumerate(Metric):  # a non-zero rate, no outage
+                    if metric not in metrics:
+                        continue
+                    top, top_sorted = ranked[metric if q.rho != 1.0 else Metric.NZR]
+                    sure = top_sorted.searchsorted(np.inf, "right") - top_sorted.searchsorted(hi, "right")
+                    for j in np.flatnonzero(sure + top_sorted.searchsorted(lo) < top.size):  # left to `hits`
+                        p = points[members[j]][0]
+                        band = np.flatnonzero(~(top > hi[j]) & ~(top < lo[j]))  # NaN included
+                        nzr, outage = _exact(p, scheme, e_d, e_e, mask, gates[p.delta], band)
+                        sure[j] += np.count_nonzero(~outage if event else nzr)
+                    hits[event, members] += sure
+
+    starts, lock, errors = iter(range(0, trials, block)), threading.Lock(), []
+
+    def take() -> int | None:
+        with lock:
+            return next(starts, None)
+
+    def walk(hits: np.ndarray) -> None:
+        try:
+            for start in iter(take, None):
+                held = build(start)  # the last block is freed only now: freeing it first churns pages
+                count(*held, hits)
+        except BaseException as exc:  # raised again in the caller's thread once both walkers stop
+            with lock:
+                deque(starts, maxlen=0)  # the other walker stops after its current block
+            errors.append(exc)
+
+    hits = np.zeros((2, 2, len(points)), dtype=np.int64)  # walker, event (a non-zero rate, no outage), point
+    worker = threading.Thread(target=walk, args=(hits[1],)) if block >= _AHEAD_BLOCK and trials > block else None
+    if worker is not None:
+        worker.start()
+    walk(hits[0])
+    if worker is not None:
+        worker.join()
+    if errors:
+        raise errors[0]
+    counts = {Metric.NZR: hits[:, 0].sum(axis=0), Metric.SOP: trials - hits[:, 1].sum(axis=0)}
     return [{metric: MetricEstimate(int(counts[metric][i]) / trials, trials, seed) for metric in metrics}
             for i in range(len(points))]
 

@@ -748,22 +748,22 @@ def test_threshold_counts_equal_the_per_point_path(k, dbs, snrs, r_th, dead, see
     e_d, e_e = _near_threshold_gains(rng, axis, trials)
     up = rng.random((k, trials)) >= dead
     points = [(p, scheme, mode) for p in axis for scheme in Scheme for mode in KnowledgeMode]
-    thresholds, rows = simulator._thresholds, []
+    link_bounds, shapes = simulator._link_bounds, []
 
     def recording(e_d, b, live, rho, metrics):
-        rows.append(e_d.shape[0])
-        return thresholds(e_d, b, live, rho, metrics)
+        shapes.append(e_d.shape)
+        return link_bounds(e_d, b, live, rho, metrics)
 
     with pytest.MonkeyPatch.context() as patch:  # the stream's rows are trial indices into the forged gains and gates
         patch.setattr(simulator, "uniform_block", lambda seed, k, start, count: np.arange(start, start + count)[:, None])
         patch.setattr(simulator, "_unit_gains", lambda u, k: (e_d[:, u[:, 0]], e_e[:, u[:, 0]]))
         patch.setattr(simulator, "_gates", lambda u, k, delta: up[:, u[:, 0]])
-        patch.setattr(simulator, "_thresholds", recording)
+        patch.setattr(simulator, "_link_bounds", recording)
         grid = simulate_grid(points, trials, seed=1)
         per_point = [simulate_point(p, scheme, mode, trials, seed=1, block=trials // 3) for p, scheme, mode in points]
     rho = axis[0].rho
-    # the scale-free rules in both modes on their pick (one row), the gated optimal rule on its k links
-    assert sorted(rows) == ([1] * 6 + [k] if rho == 1.0 or rho >= simulator._COUNT_RHO else [])
+    # the gated optimal rule's bounds on its k links, which the scale-free rules in both modes read at their pick
+    assert shapes == ([(k, trials)] if rho == 1.0 or rho >= simulator._COUNT_RHO else [])
     for (p, scheme, mode), est, alone in zip(points, grid, per_point):
         assert est == alone, (p, scheme, mode)
         _, nzr, sop = _select_on_gains(p, scheme, mode, e_d, e_e, up)
@@ -774,14 +774,16 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
     """The compare defaults (k = 5, 13 SNRs, 4 schemes, available) make 3 full-width selections a block, not 40.
 
     rts, tts and min-es select once each, and every point of the four
-    schemes reads its counts from one sorted threshold set per scheme: the
-    optimal rule needs no selection, and no trial's threshold lies close
+    schemes reads its counts from one per-link bound set per block: the
+    gated optimal rule's, which the scale-free rules read at their pick.
+    The optimal rule needs no selection, and no trial's bound lies close
     enough to any point to need one.  Without gate knowledge the optimal
-    rule is not counted from thresholds: it selects once per SNR.
+    rule is not counted from bounds: it selects once per SNR, and each
+    scale-free rule forms the bounds of its own pick.
     """
-    calls = {"full": 0, "band": 0, "thresholds": 0}
-    built = []  # weak references to each block's e_d as the producer made it
-    unit_gains, choose, thresholds = simulator._unit_gains, simulator._choose, simulator._thresholds
+    calls = {"full": 0, "band": 0, "links": 0, "picks": 0}
+    built = []  # weak references to each block's e_d as a walker built it
+    unit_gains, choose, link_bounds = simulator._unit_gains, simulator._choose, simulator._link_bounds
 
     def tracking_gains(u, k):
         e_d, e_e = unit_gains(u, k)
@@ -789,25 +791,24 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
         return e_d, e_e
 
     def counting_choose(p, scheme, e_d, *args):
-        # the producer may have built the next block already, so the block being
-        # counted is the one whose e_d this is, not the last one built
-        if any(ref() is e_d for ref in built[-2:]):
+        # a full-width selection reads a block's e_d as built, a band selection a gather of it
+        if any(ref() is e_d for ref in built):
             calls["full"] += 1
         else:
             calls["band"] += e_d.shape[1]
         return choose(p, scheme, e_d, *args)
 
-    def counting_thresholds(*args):
-        calls["thresholds"] += 1
-        return thresholds(*args)
+    def counting_bounds(e_d, *args):
+        calls["links" if e_d.ndim == 2 else "picks"] += 1
+        return link_bounds(e_d, *args)
 
     monkeypatch.setattr(simulator, "_unit_gains", tracking_gains)
     monkeypatch.setattr(simulator, "_choose", counting_choose)
-    monkeypatch.setattr(simulator, "_thresholds", counting_thresholds)
+    monkeypatch.setattr(simulator, "_link_bounds", counting_bounds)
     trials = 200_000
     blocks = -(-trials // simulator.DEFAULT_BLOCK)
     # rts 1, tts 1, min-es 1 and optimal 0 (available) or 13 (unavailable), against 13 + 13 + 1 + 13 per lambda
-    for mode, full, counted in ((AVAIL, 3, 4), (UNAVAIL, 16, 3)):
+    for mode, full, links, picks in ((AVAIL, 3, 1, 0), (UNAVAIL, 16, 0, 3)):
         points = [
             (params(k=5, delta=0.9, snr_db=float(snr)), scheme, mode)
             for snr in range(0, 61, 5)
@@ -815,10 +816,10 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
         ]
         calls.update(dict.fromkeys(calls, 0))
         simulate_grid(points, trials, seed=1)
-        assert calls == {"full": full * blocks, "band": 0, "thresholds": counted * blocks}, mode
+        assert calls == {"full": full * blocks, "band": 0, "links": links * blocks, "picks": picks * blocks}, mode
 
 
-# --- block producer and requested metrics -----------------------------------
+# --- block walkers and requested metrics ------------------------------------
 
 
 class _Planted(Exception):
@@ -831,25 +832,25 @@ def _snr_axis():
 
 
 def test_worker_error_reaches_the_caller(monkeypatch):
-    """`_unit_gains` failing on the third block, which the worker builds, raises that error in the caller."""
-    unit_gains, threads = simulator._unit_gains, []
+    """`_unit_gains` failing in the worker, on whichever block it takes, raises that error in the caller."""
+    unit_gains, failed = simulator._unit_gains, []
 
     def failing(u, k):
-        threads.append(threading.current_thread())
-        if len(threads) == 3:
-            raise _Planted("block 3")
+        if threading.current_thread() is not threading.main_thread():
+            failed.append(threading.current_thread())
+            raise _Planted("worker")
         return unit_gains(u, k)
 
     monkeypatch.setattr(simulator, "_unit_gains", failing)
     before = threading.active_count()
-    with pytest.raises(_Planted, match="block 3"):
+    with pytest.raises(_Planted, match="worker"):
         simulate_grid(_snr_axis(), 5 * simulator.DEFAULT_BLOCK, seed=1)
-    assert threads[0] is threading.main_thread() and threads[2] is not threading.main_thread()
+    assert len(failed) == 1 and not failed[0].is_alive()
     assert threading.active_count() == before
 
 
 def test_count_error_leaves_no_thread_behind(monkeypatch):
-    """An error while block 1 is counted joins the worker, which is still building block 2."""
+    """An error while the main thread counts a block joins the worker, which is still building its block."""
     unit_gains = simulator._unit_gains
 
     def slow(u, k):
@@ -861,11 +862,78 @@ def test_count_error_leaves_no_thread_behind(monkeypatch):
         raise _Planted("count")
 
     monkeypatch.setattr(simulator, "_unit_gains", slow)
-    monkeypatch.setattr(simulator, "_thresholds", failing)
+    monkeypatch.setattr(simulator, "_link_bounds", failing)
     before = threading.active_count()
     with pytest.raises(_Planted, match="count"):
         simulate_grid(_snr_axis(), 3 * simulator.DEFAULT_BLOCK, seed=1)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", ["main", "worker"])
+def test_walker_error_stops_the_other_within_one_block(monkeypatch, failing):
+    """A build failing in either walker leaves the other at most one more block, and no thread behind."""
+    unit_gains, builds, after = simulator._unit_gains, {"main": 0, "worker": 0}, []
+
+    def tracked(u, k):
+        walker = "main" if threading.current_thread() is threading.main_thread() else "worker"
+        if after:
+            after.append(walker)
+        builds[walker] += 1
+        if walker == failing and builds[walker] == 2 and not after:
+            after.append(None)
+            raise _Planted(walker)
+        return unit_gains(u, k)
+
+    monkeypatch.setattr(simulator, "_unit_gains", tracked)
+    before = threading.active_count()
+    block = simulator._AHEAD_BLOCK
+    with pytest.raises(_Planted, match=failing):
+        simulate_grid(_snr_axis(), 20 * block, seed=1, block=block)
+    assert after[0] is None and len(after[1:]) <= 1 and failing not in after[1:]  # 17 blocks were left
+    assert threading.active_count() == before
+
+
+def test_walkers_count_like_one_walker(monkeypatch):
+    """13 blocks of a mixed grid, split between two walkers, give estimates equal to one walker's, bit for bit.
+
+    Every scheme in both modes, two deltas, and r_th 0 and 1: counted
+    sub-axes, the gated optimal rule's shared bounds and positions read
+    point by point.  The switch interval is shortened so that the walkers
+    take turns often; every block is still built exactly once.
+    """
+    block = simulator._AHEAD_BLOCK
+    trials = 12 * block + 1000
+    points = [
+        (params(k=3, delta=delta, snr_db=float(snr), r_th=r_th), scheme, mode)
+        for delta in (0.5, 0.9)
+        for r_th in (0.0, 1.0)
+        for snr in ((0, 10, 20, 30, 40) if r_th else (5, 25))
+        for scheme in Scheme
+        for mode in KnowledgeMode
+    ]
+    uniforms, starts, started = simulator.uniform_block, [], []
+
+    def recording(seed, k, start, count):
+        starts.append(start)
+        return uniforms(seed, k, start, count)
+
+    def counting(self):
+        started.append(self)
+        thread_start(self)
+
+    thread_start = threading.Thread.start
+    monkeypatch.setattr(simulator, "uniform_block", recording)
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        walkers = simulate_grid(points, trials, seed=4, block=block, metrics=(Metric.SOP, Metric.NZR))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == 1 and sorted(starts) == list(range(0, trials, block))
+    monkeypatch.setattr(simulator, "_AHEAD_BLOCK", block + 1)
+    assert simulate_grid(points, trials, seed=4, block=block) == walkers
+    assert len(started) == 1
 
 
 @pytest.mark.parametrize(
@@ -874,12 +942,12 @@ def test_count_error_leaves_no_thread_behind(monkeypatch):
         (100, simulator.DEFAULT_BLOCK, 0),  # one block
         (simulator.DEFAULT_BLOCK, simulator.DEFAULT_BLOCK, 0),  # one full block
         (5000, 1000, 0),  # blocks below _AHEAD_BLOCK
-        (2 * simulator.DEFAULT_BLOCK, simulator.DEFAULT_BLOCK, 1),  # every block after the first
-        (3 * simulator.DEFAULT_BLOCK + 5, simulator.DEFAULT_BLOCK, 3),
+        (2 * simulator.DEFAULT_BLOCK, simulator.DEFAULT_BLOCK, 1),  # a second walker
+        (3 * simulator.DEFAULT_BLOCK + 5, simulator.DEFAULT_BLOCK, 1),  # still one, whatever the blocks
     ],
 )
 def test_worker_threads_per_grid(monkeypatch, trials, block, threads):
-    """A grid of one block, or of blocks below _AHEAD_BLOCK, starts no thread; a longer one one per later block."""
+    """A grid of one block, or of blocks below _AHEAD_BLOCK, starts no thread; a longer one exactly one."""
     started, start = [], threading.Thread.start
 
     def counting(self):
@@ -898,16 +966,17 @@ def test_grid_counts_only_the_metrics_asked_for(monkeypatch):
     and point by point (3 points, and r_th 1e-9, whose rho is below
     _COUNT_RHO), the optimal rule without gate knowledge, and
     r_th 0 (rho = 1, where no outage reads the non-zero-rate bounds).
-    Away from rho = 1, the thresholds of the metric not asked for are not formed.
+    Away from rho = 1, the bounds of the metric not asked for are not
+    formed; at rho = 1 SOP reads the non-zero-rate bounds, formed once.
     """
-    thresholds, formed = simulator._thresholds, []
+    link_bounds, formed = simulator._link_bounds, []
 
     def recording(e_d, b, live, rho, metrics):
-        bounds = thresholds(e_d, b, live, rho, metrics)
+        bounds = link_bounds(e_d, b, live, rho, metrics)
         formed.append((rho == 1.0, tuple(metrics), tuple(bounds)))
         return bounds
 
-    monkeypatch.setattr(simulator, "_thresholds", recording)
+    monkeypatch.setattr(simulator, "_link_bounds", recording)
     points = [
         (params(snr_db=float(snr), r_th=r_th, **kw), scheme, mode)
         for r_th in (0.0, 1e-9, 1.0)
@@ -916,15 +985,15 @@ def test_grid_counts_only_the_metrics_asked_for(monkeypatch):
         for scheme in Scheme
         for mode in KnowledgeMode
     ]
-    trials = 20_000  # two blocks: the worker builds the second
+    trials = 20_000  # two blocks, one for each walker
     both = simulate_grid(points, trials, seed=3)
     assert all(list(est) == list(Metric) for est in both)
     for metric in Metric:
         assert simulate_grid(points, trials, seed=3, metrics=(metric,)) == [{metric: est[metric]} for est in both]
     assert set(formed) == {  # (rho = 1, metrics asked for, bounds formed)
-        (False, tuple(Metric), tuple(Metric)), (True, tuple(Metric), tuple(Metric)),
+        (False, tuple(Metric), tuple(Metric)), (True, tuple(Metric), (Metric.NZR,)),
         (False, (Metric.NZR,), (Metric.NZR,)), (True, (Metric.NZR,), (Metric.NZR,)),
-        (False, (Metric.SOP,), (Metric.SOP,)), (True, (Metric.SOP,), (Metric.NZR, Metric.SOP)),
+        (False, (Metric.SOP,), (Metric.SOP,)), (True, (Metric.SOP,), (Metric.NZR,)),
     }
 
 
