@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -29,7 +29,6 @@ _WORDS_PER_COUNTER_STEP = 4
 _PIECE_WORDS = 1 << 15  # values per piece when a block's gains are transposed
 _BAND = 1.0 + 2.0**-30  # M of `_link_bounds`: `hits` decides the trials whose threshold lies within c M^+-1
 _COUNT_RHO = 1.0 + 2.0**-20  # thresholds need rho = 1 or this much: below it theta = rho (1 + b) - 1 cancels
-_COUNT_POINTS = 4  # sub-axes of fewer points cost less per point than sorted thresholds
 _AHEAD_BLOCK = 1 << 12  # narrower blocks run inline: a second walker's hand-offs cost more than it hides
 
 
@@ -270,7 +269,9 @@ class _Selection:
     of the (k, block) gains).  The unit gains of the picked links are
     gathered once if read (a point scales them by its own 1/lambda, bit for
     bit the gather of its scaled gains), and the eavesdropper's gain over
-    noise and the picked gates once per (lambda_e, sigma_e, m) and delta.
+    noise once per (lambda_e, sigma_e, m), which the points of a position
+    share: the ungated optimal rule's points of one lambda_d differ only in
+    delta or rho.
     """
 
     def __init__(self, sel: np.ndarray, e_d: np.ndarray, e_e: np.ndarray, trials: np.ndarray | None = None):
@@ -278,7 +279,6 @@ class _Selection:
         self.pick = np.asarray(sel, dtype=np.intp) * e_d.shape[1] + trials  # flat [sel, trial]
         self._block = e_d, e_e
         self._snr_e: dict[tuple[float, float, int], np.ndarray] = {}
-        self._lives: dict[float, np.ndarray] = {}
 
     @cached_property
     def gains(self) -> tuple[np.ndarray, np.ndarray]:
@@ -304,9 +304,7 @@ class _Selection:
         key = p.lambda_e, p.sigma_e, m
         if key not in self._snr_e:
             self._snr_e[key] = _snr(e_e, p.lambda_e, p.sigma_e, m)
-        if p.delta not in self._lives:
-            self._lives[p.delta] = active.take(self.pick)
-        a, b, live = _snr(e_d, p.lambda_d, p.sigma_d, m), self._snr_e[key], self._lives[p.delta]
+        a, b, live = _snr(e_d, p.lambda_d, p.sigma_d, m), self._snr_e[key], active.take(self.pick)
         one = math.ldexp(1.0, min(max(-m, -1074), 1023))
         with np.errstate(over="ignore"):  # X' past 2^1024: a_m over a subnormal one + b_m
             below = a < b if p.rho == 1.0 else (one + a) / (one + b) < p.rho
@@ -428,21 +426,22 @@ def simulate_grid(
 
     All points must share k, so they read one stream (seed, k), which is
     walked once.  Before the walk the points are grouped once by
-    `_selection_key`, within a group into sub-axes of _COUNT_POINTS or more
-    (`_sub_axis`), and the rest by position: one per lambda_d for the
-    optimal rule, one for the whole group otherwise.  Per block the
-    uniforms are generated once, mapped to unit-mean exponential gains once
-    per side and to a gate mask once per distinct delta, all in (k, block)
-    layout.  This thread and one worker each take the next block, build it
-    and count it into their own integer hits, summed at the end (one walker
-    for one block or blocks below _AHEAD_BLOCK); an error in either stops
-    both after their current block.  A sub-axis sorts per-trial bounds of
-    `metrics` (`_link_bounds`, on every link for the gated optimal rule,
-    read at their pick by the scale-free rules of its sub-axis) and each
-    point decides the trials near its own c (`_exact`).  Each position
-    picks once (`_choose`) into one `_Selection`, whose `hits` count its
-    points.  Memory is O(block) whatever `trials` and the number of points,
-    and every estimate equals `simulate_point` on that point alone.
+    `_selection_key`, within a group into sub-axes (`_sub_axis`), however
+    few points share one, and the points whose proof fails by position: one
+    per lambda_d for the optimal rule, one for the whole group otherwise.
+    Per block the uniforms are generated once, mapped to unit-mean
+    exponential gains once per side and to a gate mask once per distinct
+    delta, all in (k, block) layout.  This thread and one worker each take
+    the next block, build it and count it into their own integer hits,
+    summed at the end (one walker for one block or blocks below
+    _AHEAD_BLOCK); an error in either stops both after their current block.
+    A sub-axis sorts per-trial bounds of `metrics` (`_link_bounds`, on
+    every link for the gated optimal rule, read at their pick by the
+    scale-free rules of its sub-axis) and each point decides the trials
+    near its own c (`_exact`).  Each position picks once (`_choose`) into
+    one `_Selection`, whose `hits` count its points.  Memory is O(block)
+    whatever `trials` and the number of points, and every estimate equals
+    `simulate_point` on that point alone.
     """
     _check_run(trials, block)
     ks = {p.k for p, _, _ in points}
@@ -452,13 +451,12 @@ def simulate_grid(
     metrics = [metric for metric in Metric if metric in metrics]
     keys = [_selection_key(*point) for point in points]
     subs = [_sub_axis(key, p) for key, (p, _, _) in zip(keys, points)]
-    sizes = Counter(zip(keys, subs))
     groups: dict[tuple, tuple] = {}  # key -> (lead, lambda_d position -> its points, sub-axis -> its points)
     for i, (key, sub) in enumerate(zip(keys, subs)):
         optimal = key[0] is Scheme.OPTIMAL
         # a scale-free group always has its one position (None), whose pick its counted sub-axes read
         _, axis, counted = groups.setdefault(key, (points[i][0], {} if optimal else {None: []}, {}))
-        if sub is not None and sizes[key, sub] >= _COUNT_POINTS:
+        if sub is not None:
             counted.setdefault(sub, []).append(i)
         else:
             axis.setdefault(points[i][0].lambda_d if optimal else None, []).append(i)

@@ -722,7 +722,7 @@ def _near_threshold_gains(rng, axis, trials):
 @given(
     k=st.integers(1, 4),
     dbs=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
-    snrs=st.lists(st.floats(-30.0, 80.0), min_size=simulator._COUNT_POINTS, max_size=7, unique=True),
+    snrs=st.lists(st.floats(-30.0, 80.0), min_size=1, max_size=7, unique=True),
     r_th=st.sampled_from([0.0, 1e-9, 2e-6, 1.0, 3.0]),  # rho = 1, per-point fallback, just past _COUNT_RHO, 2, 8
     dead=st.sampled_from([0.0, 0.5, 1.0]),
     seed=st.integers(0, 2**32 - 1),
@@ -735,9 +735,10 @@ def _near_threshold_gains(rng, axis, trials):
 def test_threshold_counts_equal_the_per_point_path(k, dbs, snrs, r_th, dead, seed):
     """On forged rows near the thresholds, a sub-axis counted from sorted thresholds equals `hits` and `select`.
 
-    Every scheme in both modes: the scale-free rules count on their shared
-    pick, the optimal rule with gate knowledge on its best live link, and
-    the one-point runs take the per-point path.  The gated optimal rule is
+    Every scheme in both modes, on sub-axes of one to seven points: the
+    scale-free rules count on their shared pick, the optimal rule with gate
+    knowledge on its best live link, and `_all_outcomes`, which runs `hits`
+    on every trial, is the per-point reference.  The gated optimal rule is
     counted from thresholds wherever rho allows it, whatever its lambdas.
     """
     lambda_e, sigma_d, sigma_e = dbs
@@ -760,12 +761,17 @@ def test_threshold_counts_equal_the_per_point_path(k, dbs, snrs, r_th, dead, see
         patch.setattr(simulator, "_gates", lambda u, k, delta: up[:, u[:, 0]])
         patch.setattr(simulator, "_link_bounds", recording)
         grid = simulate_grid(points, trials, seed=1)
-        per_point = [simulate_point(p, scheme, mode, trials, seed=1, block=trials // 3) for p, scheme, mode in points]
+        grid_shapes = shapes.copy()
+        alone = [simulate_point(p, scheme, mode, trials, seed=1, block=trials // 3) for p, scheme, mode in points]
+        per_point = [simulator._all_outcomes(p, scheme, mode, trials, seed=1, block=trials // 3)
+                     for p, scheme, mode in points]
     rho = axis[0].rho
     # the gated optimal rule's bounds on its k links, which the scale-free rules in both modes read at their pick
-    assert shapes == ([(k, trials)] if rho == 1.0 or rho >= simulator._COUNT_RHO else [])
-    for (p, scheme, mode), est, alone in zip(points, grid, per_point):
-        assert est == alone, (p, scheme, mode)
+    assert grid_shapes == ([(k, trials)] if rho == 1.0 or rho >= simulator._COUNT_RHO else [])
+    for (p, scheme, mode), est, one, outcomes in zip(points, grid, alone, per_point):
+        assert est == one, (p, scheme, mode)
+        counts = tuple(np.count_nonzero(hits) / trials for hits in outcomes)
+        assert (est[Metric.NZR].value, est[Metric.SOP].value) == counts, (p, scheme, mode)
         _, nzr, sop = _select_on_gains(p, scheme, mode, e_d, e_e, up)
         assert (est[Metric.NZR].value, est[Metric.SOP].value) == (nzr / trials, sop / trials), (p, scheme, mode)
 
@@ -817,6 +823,46 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         simulate_grid(points, trials, seed=1)
         assert calls == {"full": full * blocks, "band": 0, "links": links * blocks, "picks": picks * blocks}, mode
+
+
+@pytest.mark.parametrize(
+    "points, picks, full",
+    [
+        # the default `point` grid: one rts point in both modes, each counted from its pick's bounds
+        ([(params(k=5, delta=0.9, snr_db=10.0), Scheme.RTS, mode) for mode in KnowledgeMode], 2, 0),
+        # a default `validate` sub-axis: three SNRs, rts in both modes
+        ([(params(k=3, delta=0.5, snr_db=snr), Scheme.RTS, mode) for snr in (10.0, 30.0, 50.0)
+          for mode in KnowledgeMode], 2, 0),
+        # where the bound proof fails: 1 < rho < _COUNT_RHO, the ungated optimal rule, |`_exponent`| > 960
+        ([(params(k=5, snr_db=10.0, r_th=1e-9), Scheme.RTS, mode) for mode in KnowledgeMode], 0, 2),
+        ([(params(k=5, snr_db=snr), Scheme.OPTIMAL, UNAVAIL) for snr in (10.0, 30.0, 50.0)], 0, 3),
+        ([(params(k=5, snr_db=3000.0), Scheme.RTS, mode) for mode in KnowledgeMode], 0, 2),
+    ],
+    ids=["point", "validate-axis", "rho-near-1", "ungated-optimal", "exponent-past-960"],
+)
+def test_every_sub_axis_the_proof_covers_is_counted(monkeypatch, points, picks, full):
+    """However few points share a sub-axis, each block forms its bounds once and runs no full-width `hits`.
+
+    Only the points `_sub_axis` rejects take `hits` on every trial of a
+    block, one call per point.
+    """
+    calls = []  # appended to by both walkers
+    link_bounds, hits = simulator._link_bounds, simulator._Selection.hits
+
+    def counting_bounds(e_d, *args):
+        calls.append("links" if e_d.ndim == 2 else "picks")
+        return link_bounds(e_d, *args)
+
+    def counting_hits(self, p, active):
+        if self.pick.size == active.shape[1]:  # a band of `_exact` is a gather of the block's trials
+            calls.append("full")
+        return hits(self, p, active)
+
+    monkeypatch.setattr(simulator, "_link_bounds", counting_bounds)
+    monkeypatch.setattr(simulator._Selection, "hits", counting_hits)
+    blocks = 3
+    simulate_grid(points, (blocks - 1) * simulator.DEFAULT_BLOCK + 1000, seed=1)
+    assert [calls.count(call) for call in ("links", "picks", "full")] == [0, picks * blocks, full * blocks]
 
 
 # --- block walkers and requested metrics ------------------------------------
@@ -962,8 +1008,8 @@ def test_worker_threads_per_grid(monkeypatch, trials, block, threads):
 def test_grid_counts_only_the_metrics_asked_for(monkeypatch):
     """Each metric alone equals its entries of a two-metric run, and each dict holds only what was asked for.
 
-    Unit rules and the gated optimal rule on counted sub-axes (13 points)
-    and point by point (3 points, and r_th 1e-9, whose rho is below
+    Unit rules and the gated optimal rule on counted sub-axes (13 and 3
+    points) and point by point (r_th 1e-9, whose rho is below
     _COUNT_RHO), the optimal rule without gate knowledge, and
     r_th 0 (rho = 1, where no outage reads the non-zero-rate bounds).
     Away from rho = 1, the bounds of the metric not asked for are not
