@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -227,12 +226,9 @@ def oracle(p: SystemParams, metric: Metric, mode: KnowledgeMode) -> MetricValue:
 
 @lru_cache(maxsize=None)
 def _signed_factorial_ratio(n: int) -> float:
-    """sum_{i=1}^{n} (-1)^(n-i) (n-i)! (i-1)! / n!, evaluated exactly."""
-    total = Fraction(0)
-    fact_n = math.factorial(n)
-    for i in range(1, n + 1):
-        total += Fraction((-1) ** (n - i) * math.factorial(n - i) * math.factorial(i - 1), fact_n)
-    return float(total)
+    """sum_{i=1}^{n} (-1)^(n-i) (n-i)! (i-1)! / n!, summed exactly and rounded once (int / int)."""
+    total = sum((-1) ** (n - i) * math.factorial(n - i) * math.factorial(i - 1) for i in range(1, n + 1))
+    return total / math.factorial(n)
 
 
 def _nzr_series_bracket(n: int, u: float, v: float) -> float:

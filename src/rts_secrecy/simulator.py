@@ -29,13 +29,19 @@ _WORDS_PER_COUNTER_STEP = 4
 _PIECE_WORDS = 1 << 15  # values per piece when a block's gains are transposed
 _BAND = 1.0 + 2.0**-30  # M of `_link_bounds`: `hits` decides the trials whose threshold lies within c M^+-1
 _COUNT_RHO = 1.0 + 2.0**-20  # thresholds need rho = 1 or this much: below it theta = rho (1 + b) - 1 cancels
-_AHEAD_BLOCK = 1 << 12  # narrower blocks run inline: a second walker's hand-offs cost more than it hides
+_BLOCK_WORDS = 3 << 16  # stream words of a default block (`block_width`): 12,288 trials at k = 5, 1,024 at k = 64
+_AHEAD_WORDS = 1 << 16  # smaller blocks (4,096 trials at k = 5) run inline: a second walker costs more than it hides
 
 
 def trial_stride(k: int) -> int:
     """Uniforms reserved per trial: 3k, rounded up to a counter boundary."""
     needed = 3 * k
     return -(-needed // _WORDS_PER_COUNTER_STEP) * _WORDS_PER_COUNTER_STEP
+
+
+def block_width(k: int, block: int | None = None) -> int:
+    """Trials per block at k: `block` if given, else DEFAULT_BLOCK capped at _BLOCK_WORDS stream words."""
+    return min(DEFAULT_BLOCK, _BLOCK_WORDS // trial_stride(k)) if block is None else block
 
 
 def uniform_block(seed: int, k: int, start: int, count: int) -> np.ndarray:
@@ -373,9 +379,10 @@ def _block_outcomes(
 
 
 def _all_outcomes(
-    p: SystemParams, scheme: Scheme, mode: KnowledgeMode, trials: int, seed: int, block: int = DEFAULT_BLOCK
+    p: SystemParams, scheme: Scheme, mode: KnowledgeMode, trials: int, seed: int, block: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (non-zero rate, outage) arrays for `trials` trials: the reference of `simulate_grid`."""
+    block = block_width(p.k, block)
     _check_run(trials, block)
     blocks = [
         _block_outcomes(p, scheme, mode, uniform_block(seed, p.k, start, min(block, trials - start)))
@@ -385,7 +392,7 @@ def _all_outcomes(
 
 
 def outage_indicators(
-    p: SystemParams, scheme: Scheme, mode: KnowledgeMode, trials: int, seed: int, block: int = DEFAULT_BLOCK
+    p: SystemParams, scheme: Scheme, mode: KnowledgeMode, trials: int, seed: int, block: int | None = None
 ) -> np.ndarray:
     """Per-trial outage indicator array (dead or silent trials included)."""
     return _all_outcomes(p, scheme, mode, trials, seed, block)[1]
@@ -419,7 +426,7 @@ def simulate_grid(
     points: Sequence[tuple[SystemParams, Scheme, KnowledgeMode]],
     trials: int,
     seed: int,
-    block: int = DEFAULT_BLOCK,
+    block: int | None = None,
     metrics: Sequence[Metric] = tuple(Metric),
 ) -> list[dict[Metric, MetricEstimate]]:
     """The estimates of `metrics` for every (params, scheme, mode) point, in order.
@@ -429,25 +436,28 @@ def simulate_grid(
     `_selection_key`, within a group into sub-axes (`_sub_axis`), however
     few points share one, and the points whose proof fails by position: one
     per lambda_d for the optimal rule, one for the whole group otherwise.
-    Per block the uniforms are generated once, mapped to unit-mean
-    exponential gains once per side and to a gate mask once per distinct
-    delta, all in (k, block) layout.  This thread and one worker each take
-    the next block, build it and count it into their own integer hits,
-    summed at the end (one walker for one block or blocks below
-    _AHEAD_BLOCK); an error in either stops both after their current block.
-    A sub-axis sorts per-trial bounds of `metrics` (`_link_bounds`, on
-    every link for the gated optimal rule, read at their pick by the
-    scale-free rules of its sub-axis) and each point decides the trials
-    near its own c (`_exact`).  Each position picks once (`_choose`) into
-    one `_Selection`, whose `hits` count its points.  Memory is O(block)
-    whatever `trials` and the number of points, and every estimate equals
-    `simulate_point` on that point alone.
+    Per block of `block` trials, by default as many as fit _BLOCK_WORDS
+    stream words (`block_width`), the uniforms are generated once, mapped to
+    unit-mean exponential gains once per side and to a gate mask once per
+    distinct delta, all in (k, block) layout.  This thread and one worker
+    each take the next block, build it and count it into their own integer
+    hits, summed at the end (one walker for one block or blocks below
+    _AHEAD_WORDS words); an error in either stops both after their current
+    block.  A sub-axis sorts per-trial bounds of `metrics` (`_link_bounds`,
+    on every link for the gated optimal rule, read at their pick by the
+    scale-free rules of its sub-axis) and each point decides the trials near
+    its own c (`_exact`).  Each position picks once (`_choose`) into one
+    `_Selection`, whose `hits` count its points.  Memory is O(block k), so
+    at the default width O(_BLOCK_WORDS) whatever k, `trials` and the number
+    of points, and every estimate equals `simulate_point` on that point
+    alone.
     """
-    _check_run(trials, block)
     ks = {p.k for p, _, _ in points}
     if len(ks) != 1:
         raise ValueError(f"points must share one k, got {sorted(ks)}")
     (k,) = ks
+    block = block_width(k, block)
+    _check_run(trials, block)
     metrics = [metric for metric in Metric if metric in metrics]
     keys = [_selection_key(*point) for point in points]
     subs = [_sub_axis(key, p) for key, (p, _, _) in zip(keys, points)]
@@ -522,7 +532,8 @@ def simulate_grid(
             errors.append(exc)
 
     hits = np.zeros((2, 2, len(points)), dtype=np.int64)  # walker, event (a non-zero rate, no outage), point
-    worker = threading.Thread(target=walk, args=(hits[1],)) if block >= _AHEAD_BLOCK and trials > block else None
+    ahead = block * trial_stride(k) >= _AHEAD_WORDS and trials > block
+    worker = threading.Thread(target=walk, args=(hits[1],)) if ahead else None
     if worker is not None:
         worker.start()
     walk(hits[0])
@@ -541,7 +552,7 @@ def simulate_point(
     mode: KnowledgeMode,
     trials: int,
     seed: int,
-    block: int = DEFAULT_BLOCK,
+    block: int | None = None,
 ) -> dict[Metric, MetricEstimate]:
     """Both metric estimates for one point; a one-point `simulate_grid`."""
     return simulate_grid([(p, scheme, mode)], trials, seed, block)[0]

@@ -431,6 +431,16 @@ def test_nzr_without_knowledge_over_delta_does_not_depend_on_delta(other, **kwar
 # --- series closed forms: exact cells ---------------------------------------
 
 
+def test_signed_factorial_ratio_rounds_the_exact_sum_once():
+    """The integer sum over n!, a correctly rounded int / int division, is the exact rational rounded once."""
+    from fractions import Fraction  # the package itself does not load `fractions`
+
+    for n in range(1, 65):
+        exact = sum(Fraction((-1) ** (n - i) * math.factorial(n - i) * math.factorial(i - 1), math.factorial(n))
+                    for i in range(1, n + 1))
+        assert analytics._signed_factorial_ratio(n) == float(exact), n
+
+
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("delta", [0.3, 0.8])
 @pytest.mark.parametrize("snr", [5.0, 25.0])

@@ -812,7 +812,7 @@ def test_compare_grid_selects_once_per_block_for_scale_free_rules(monkeypatch):
     monkeypatch.setattr(simulator, "_choose", counting_choose)
     monkeypatch.setattr(simulator, "_link_bounds", counting_bounds)
     trials = 200_000
-    blocks = -(-trials // simulator.DEFAULT_BLOCK)
+    blocks = -(-trials // simulator.block_width(5))
     # rts 1, tts 1, min-es 1 and optimal 0 (available) or 13 (unavailable), against 13 + 13 + 1 + 13 per lambda
     for mode, full, links, picks in ((AVAIL, 3, 1, 0), (UNAVAIL, 16, 0, 3)):
         points = [
@@ -861,7 +861,7 @@ def test_every_sub_axis_the_proof_covers_is_counted(monkeypatch, points, picks, 
     monkeypatch.setattr(simulator, "_link_bounds", counting_bounds)
     monkeypatch.setattr(simulator._Selection, "hits", counting_hits)
     blocks = 3
-    simulate_grid(points, (blocks - 1) * simulator.DEFAULT_BLOCK + 1000, seed=1)
+    simulate_grid(points, (blocks - 1) * simulator.block_width(points[0][0].k) + 1000, seed=1)
     assert [calls.count(call) for call in ("links", "picks", "full")] == [0, picks * blocks, full * blocks]
 
 
@@ -877,6 +877,9 @@ def _snr_axis():
     return [(params(snr_db=float(snr)), scheme, AVAIL) for snr in range(0, 61, 5) for scheme in Scheme]
 
 
+_AHEAD = -(-simulator._AHEAD_WORDS // trial_stride(3))  # trials of the narrowest k = 3 block with a second walker
+
+
 def test_worker_error_reaches_the_caller(monkeypatch):
     """`_unit_gains` failing in the worker, on whichever block it takes, raises that error in the caller."""
     unit_gains, failed = simulator._unit_gains, []
@@ -890,7 +893,7 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(simulator, "_unit_gains", failing)
     before = threading.active_count()
     with pytest.raises(_Planted, match="worker"):
-        simulate_grid(_snr_axis(), 5 * simulator.DEFAULT_BLOCK, seed=1)
+        simulate_grid(_snr_axis(), 5 * simulator.block_width(3), seed=1)
     assert len(failed) == 1 and not failed[0].is_alive()
     assert threading.active_count() == before
 
@@ -911,7 +914,7 @@ def test_count_error_leaves_no_thread_behind(monkeypatch):
     monkeypatch.setattr(simulator, "_link_bounds", failing)
     before = threading.active_count()
     with pytest.raises(_Planted, match="count"):
-        simulate_grid(_snr_axis(), 3 * simulator.DEFAULT_BLOCK, seed=1)
+        simulate_grid(_snr_axis(), 3 * simulator.block_width(3), seed=1)
     assert threading.active_count() == before
 
 
@@ -932,7 +935,7 @@ def test_walker_error_stops_the_other_within_one_block(monkeypatch, failing):
 
     monkeypatch.setattr(simulator, "_unit_gains", tracked)
     before = threading.active_count()
-    block = simulator._AHEAD_BLOCK
+    block = _AHEAD
     with pytest.raises(_Planted, match=failing):
         simulate_grid(_snr_axis(), 20 * block, seed=1, block=block)
     assert after[0] is None and len(after[1:]) <= 1 and failing not in after[1:]  # 17 blocks were left
@@ -947,7 +950,7 @@ def test_walkers_count_like_one_walker(monkeypatch):
     point by point.  The switch interval is shortened so that the walkers
     take turns often; every block is still built exactly once.
     """
-    block = simulator._AHEAD_BLOCK
+    block = _AHEAD
     trials = 12 * block + 1000
     points = [
         (params(k=3, delta=delta, snr_db=float(snr), r_th=r_th), scheme, mode)
@@ -977,7 +980,7 @@ def test_walkers_count_like_one_walker(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(started) == 1 and sorted(starts) == list(range(0, trials, block))
-    monkeypatch.setattr(simulator, "_AHEAD_BLOCK", block + 1)
+    monkeypatch.setattr(simulator, "_AHEAD_WORDS", block * trial_stride(3) + 1)
     assert simulate_grid(points, trials, seed=4, block=block) == walkers
     assert len(started) == 1
 
@@ -987,13 +990,17 @@ def test_walkers_count_like_one_walker(monkeypatch):
     [
         (100, simulator.DEFAULT_BLOCK, 0),  # one block
         (simulator.DEFAULT_BLOCK, simulator.DEFAULT_BLOCK, 0),  # one full block
-        (5000, 1000, 0),  # blocks below _AHEAD_BLOCK
+        (5000, 1000, 0),  # blocks below _AHEAD_WORDS
+        (3 * _AHEAD, _AHEAD - 1, 0),  # one trial short of the word floor
+        (3 * _AHEAD, _AHEAD, 1),  # at the word floor
         (2 * simulator.DEFAULT_BLOCK, simulator.DEFAULT_BLOCK, 1),  # a second walker
         (3 * simulator.DEFAULT_BLOCK + 5, simulator.DEFAULT_BLOCK, 1),  # still one, whatever the blocks
+        (simulator.block_width(3), None, 0),  # one default block
+        (simulator.block_width(3) + 1, None, 1),  # two default blocks
     ],
 )
 def test_worker_threads_per_grid(monkeypatch, trials, block, threads):
-    """A grid of one block, or of blocks below _AHEAD_BLOCK, starts no thread; a longer one exactly one."""
+    """A grid of one block, or of blocks below _AHEAD_WORDS words, starts no thread; a longer one exactly one."""
     started, start = [], threading.Thread.start
 
     def counting(self):
@@ -1003,6 +1010,40 @@ def test_worker_threads_per_grid(monkeypatch, trials, block, threads):
     monkeypatch.setattr(threading.Thread, "start", counting)
     simulate_grid(_snr_axis(), trials, seed=1, block=block)
     assert len(started) == threads
+
+
+def test_default_block_width_fits_the_word_budget():
+    """For k = 1..64 the default block is the most trials, up to DEFAULT_BLOCK, that fit _BLOCK_WORDS words."""
+    for k in range(1, 65):
+        width, stride = simulator.block_width(k), trial_stride(k)
+        assert width <= simulator.DEFAULT_BLOCK and width * stride <= simulator._BLOCK_WORDS, k
+        assert width == simulator.DEFAULT_BLOCK or (width + 1) * stride > simulator._BLOCK_WORDS, k
+        assert width * stride >= simulator._AHEAD_WORDS, k  # a default multi-block grid keeps its second walker
+    assert [simulator.block_width(k) for k in (1, 4, 5, 16, 64)] == [16384, 16384, 12288, 4096, 1024]
+    assert simulator.block_width(64, block=7) == 7
+
+
+@pytest.mark.parametrize("k", [5, 16, 64])
+def test_default_width_estimates_equal_full_blocks(k):
+    """Every scheme in both modes, over several default-width blocks, equals 16,384-trial blocks bit for bit."""
+    trials = 2 * simulator.block_width(k) + 1000
+    points = [(params(k=k, delta=0.8, snr_db=float(snr), r_th=r_th), scheme, mode)
+              for snr in (0, 20, 40) for r_th in (0.0, 1.0) for scheme in Scheme for mode in KnowledgeMode]
+    assert simulate_grid(points, trials, seed=6) == simulate_grid(points, trials, seed=6, block=1 << 14)
+
+
+def test_point_builds_budget_width_blocks(monkeypatch):
+    """A k = 64 `simulate_point` walks its stream in blocks of `block_width(64)` trials, the last one short."""
+    uniforms, built = simulator.uniform_block, []
+
+    def recording(seed, k, start, count):
+        built.append((start, count))
+        return uniforms(seed, k, start, count)
+
+    monkeypatch.setattr(simulator, "uniform_block", recording)
+    width = simulator.block_width(64)
+    simulate_point(params(k=64), Scheme.RTS, AVAIL, 2 * width + 100, seed=1)
+    assert sorted(built) == [(0, width), (width, width), (2 * width, 100)]
 
 
 def test_grid_counts_only_the_metrics_asked_for(monkeypatch):
