@@ -27,13 +27,7 @@ from typing import Callable, Iterable, Sequence, TextIO
 import scipy  # noqa: F401
 
 from .params import MAX_TRANSMITTERS, KnowledgeMode, Metric, SystemParams
-from .specfun import (
-    binomial,
-    exp1,
-    exp_integral_ei,
-    expn,
-    upper_incomplete_gamma,
-)
+from .specfun import exp1, expn, upper_incomplete_gamma
 
 MATCH_TOL = 1e-6
 _RANGE_SLACK = 1e-12
@@ -208,7 +202,7 @@ def sop_oracle(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
     else:
         m = k - 1
         total = sum(
-            binomial(m, j) * a ** (m - j) * drop**j * gj / (j + 1)
+            math.comb(m, j) * a ** (m - j) * drop**j * gj / (j + 1)
             for j, gj in enumerate(_g_terms(m, x))
         )
         t = -math.expm1(-x) - x * emx + emx * (1.0 + x) * power + g * k * (x * above) * total
@@ -255,8 +249,8 @@ def nzr_closed_form(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
             for q in range(1, k + 1):
                 for n in range(1, q):
                     p_zero += (
-                        binomial(k, q)
-                        * binomial(q - 1, n)
+                        math.comb(k, q)
+                        * math.comb(q - 1, n)
                         * (-1.0) ** (n + 1)
                         * n
                         * q
@@ -270,7 +264,7 @@ def nzr_closed_form(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
             tail = 0.0
             for n in range(1, k):
                 tail += (
-                    binomial(k - 1, n)
+                    math.comb(k - 1, n)
                     * (-1.0) ** (n + 1)
                     * n
                     * u
@@ -305,16 +299,18 @@ def _sop_series_bracket(n: int, p: SystemParams, mode: KnowledgeMode, upper: Cal
     t2 = (-1.0) ** n * float(math.factorial(n)) / (n + 1)
 
     res_coef = p.sigma_d * p.lambda_d ** (n + 1) if available else u ** (n + 1)
+    coef = [math.comb(n, i) * (-b) ** (n - i) for i in range(0, n + 1)]  # the same for every r
     double_sum = 0.0
     for r in range(1, n + 1):
         inner = 0.0
         for i in range(0, n + 1):
-            inner += binomial(n, i) * (-b) ** (n - i) * upper(i - r + 1)
+            inner += coef[i] * upper(i - r + 1)
         double_sum += math.factorial(r - 1) * (-1.0) ** (n - r) * inner
     t3 = -res_coef / (a ** (n + 1) * math.factorial(n)) * double_sum
 
     t4 = (-1.0) ** n / a ** (n + 1)
-    ei_block = (-b) ** (n + 1) * exp_integral_ei(-b) - math.exp(-b) * sum(
+    # Ei(-b) = -E1(b)
+    ei_block = (-b) ** (n + 1) * -exp1(b) - math.exp(-b) * sum(
         math.factorial(n - l) * (-b) ** l for l in range(0, n + 1)
     )
     t5 = u ** (n + 1) / math.factorial(n + 1) * ei_block
@@ -324,7 +320,7 @@ def _sop_series_bracket(n: int, p: SystemParams, mode: KnowledgeMode, upper: Cal
         u ** (n + 1)
         / (n * a ** (n + 1))
         * sum(
-            binomial(n, q) * upper(q - n + 1) / (a * (-b) ** (q - n))
+            math.comb(n, q) * upper(q - n + 1) / (a * (-b) ** (q - n))
             for q in range(0, n + 1)
         )
     )
@@ -355,14 +351,14 @@ def sop_closed_form(p: SystemParams, mode: KnowledgeMode) -> MetricValue:
             value += delta * (1.0 - delta) ** (k - 1) * k * single_link_outage
             inner = 0.0  # the same for every q
             for n in range(1, k):
-                inner += binomial(k - 1, n) * (-1.0) ** (n + 1) * delta ** (n + 1) * n * bracket[n]
+                inner += math.comb(k - 1, n) * (-1.0) ** (n + 1) * delta ** (n + 1) * n * bracket[n]
             for q in range(2, k + 1):
-                value += binomial(k, q) * q * inner
+                value += math.comb(k, q) * q * inner
         else:
             tail = 0.0
             for n in range(1, k):
                 tail += (
-                    binomial(k - 1, n)
+                    math.comb(k - 1, n)
                     * (-1.0) ** (n + 1)
                     * n
                     * bracket[n]

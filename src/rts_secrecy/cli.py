@@ -17,6 +17,7 @@ import csv
 import gc
 import io
 import math
+import os
 import sys
 from dataclasses import replace
 from enum import EnumMeta
@@ -408,6 +409,7 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    created = None  # an --out file this run makes, removed again if the run fails
     try:
         args = parser.parse_args(argv)
         handler, _, overrides = _COMMANDS[args.command]
@@ -416,7 +418,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.check and Scheme.RTS not in cfg["scheme"]:  # every check reads the rts rows
             raise UsageError(f"{args.command} --check needs the rts scheme in --scheme")
         if cfg["out"] != "-":  # an unwritable path fails before the run; appending keeps an old file's bytes
+            fresh = not os.path.lexists(cfg["out"])
             open(cfg["out"], "a", encoding="utf-8").close()
+            created = Path(cfg["out"]) if fresh else None
         buffer = io.StringIO()  # the output is written only once the command has returned 0 or 2
         _echo_settings(buffer, args.command, settings)
         code = handler(cfg, args.check, buffer)
@@ -427,6 +431,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code
     except (UsageError, OSError) as exc:  # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
+        if created:
+            created.unlink(missing_ok=True)
         return 1
 
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import binomial
-
 
 def single_ratio_cdf(x: float, lam_d: float, lam_e: float) -> float:
     """CDF of g_d/g_e for independent exponentials: lam_d x / (lam_d x + lam_e)."""
@@ -75,7 +73,7 @@ class MaxRatioLaw:
         t = self.lam_e / (self.lam_d * x + self.lam_e) if not math.isinf(x) else 0.0
         acc = 1.0
         for j in range(1, self.k_links + 1):
-            acc -= binomial(self.k_links, j) * (-1.0) ** (j + 1) * (self.gate_p * t) ** j
+            acc -= math.comb(self.k_links, j) * (-1.0) ** (j + 1) * (self.gate_p * t) ** j
         return acc
 
     def pdf(self, x: float) -> float:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-MAX_TRANSMITTERS = 64  # exact-integer binomial budget; larger K is rejected
+MAX_TRANSMITTERS = 64  # the largest K every route is tested at; larger K is rejected
 MAX_R_TH = 1024.0  # from here on the outage threshold 2**r_th overflows
 DB_DOMAIN = "finite, with 10^(x/10) and its reciprocal both positive and finite"
 

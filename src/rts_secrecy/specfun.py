@@ -1,5 +1,5 @@
-"""Self-contained scalar kernels: exact binomials, integer-order incomplete
-gamma functions, and the exponential integral on the negative axis.
+"""Self-contained scalar kernels: integer-order incomplete gamma functions
+and the exponential integrals E1 and E_n.
 
 Everything here is elementary enough to evaluate with finite sums or a
 continued fraction; the test suite cross-checks each routine against
@@ -10,19 +10,6 @@ from __future__ import annotations
 import math
 
 EULER_GAMMA = 0.5772156649015328606
-
-MAX_BINOMIAL_N = 64
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k) for 0 <= k <= n <= 64."""
-    if not (isinstance(n, int) and isinstance(k, int)):
-        raise ValueError("binomial arguments must be integers")
-    if n < 0 or n > MAX_BINOMIAL_N:
-        raise ValueError(f"binomial order must be in [0, {MAX_BINOMIAL_N}], got n={n}")
-    if k < 0 or k > n:
-        raise ValueError(f"binomial index out of range: k={k}, n={n}")
-    return math.comb(n, k)
 
 
 def _exp_partial_sum(s: int, x: float) -> float:
@@ -116,10 +103,3 @@ def expn(n: int, x: float) -> float:
         if abs(frac - 1.0) < 1e-14:
             return h * math.exp(-x)
     raise ArithmeticError(f"E_{n} continued fraction did not converge for x={x}")
-
-
-def exp_integral_ei(x: float) -> float:
-    """Ei(x) on the negative real axis, via Ei(-t) = -E1(t) for t > 0."""
-    if not (math.isfinite(x) and x < 0.0):
-        raise ValueError(f"exp_integral_ei is defined here for x < 0 only, got {x}")
-    return -exp1(-x)

@@ -24,7 +24,6 @@ from typing import Callable
 from scipy import integrate
 
 from rts_secrecy.params import KnowledgeMode, SystemParams
-from rts_secrecy.specfun import binomial
 
 _E_FLOOR = 1e-16  # lambda x from which `region_integral` integrates, on both sides
 _E_CEIL = 50.0  # and up to which
@@ -117,7 +116,7 @@ def selected_event_probability(
     total = (1.0 - delta) ** k
     err_total = 0.0
     for q in range(1, k + 1):
-        weight = binomial(k, q) * delta**q * (1.0 - delta) ** (k - q)
+        weight = math.comb(k, q) * delta**q * (1.0 - delta) ** (k - q)
         if weight == 0.0:
             continue
         val, err = region(q - 1)

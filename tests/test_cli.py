@@ -202,6 +202,30 @@ def test_usage_error_in_a_command_keeps_an_existing_out_file(tmp_path, capsys, a
     assert out.read_bytes() == b"keep\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--k", "2,3", "--trials", "10"],  # raised inside the command
+        ["sweep", "--k", "70", "--trials", "10"],  # raised while the grid is built
+    ],
+)
+def test_usage_error_in_a_command_leaves_no_new_out_file(tmp_path, capsys, argv):
+    out = tmp_path / "new.csv"
+    code, captured = run([*argv, "--out", str(out)], capsys)
+    assert code == 1
+    assert_one_error_line(captured, "k")
+    assert not out.exists()
+
+
+def test_out_path_under_a_file_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "file" / "x.csv"
+    out.parent.write_bytes(b"keep\n")
+    code, captured = run(["point", "--trials", "10", "--out", str(out)], capsys)
+    assert code == 1
+    assert_one_error_line(captured, str(out))
+    assert out.parent.read_bytes() == b"keep\n"
+
+
 def test_out_may_be_a_device():
     # the output is buffered, then written through one plain open, so a device or pipe still takes it
     assert main(["point", "--trials", "10", "--out", os.devnull]) == 0
